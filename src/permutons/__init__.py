@@ -64,7 +64,6 @@ _EXPORTS = {
     "flat_family": "insertion",
     "star12_family": "insertion",
     "insertion_from_permuton": "insertion",
-    "permuton_from_insertion": "insertion",
     "reconstruct": "insertion",
     "insertion_entropy": "insertion",
     "family_to_csv": "insertion",
@@ -86,7 +85,6 @@ _EXPORTS = {
     "hessian_free_energy": "starmodel",
     "star_densities": "starmodel",
     "solve_star": "starmodel",
-    "region_star23_boundary": "starmodel",
     # optimizer
     "Constraint": "optimizer",
     "ConstraintSet": "optimizer",
@@ -99,6 +97,7 @@ _EXPORTS = {
     "region_123_321": "regions",
     "dimple": "regions",
     "gamma_ab_sweep": "regions",
+    "region_star23_boundary": "regions",
     # oracle
     "joint_star_counts": "oracle",
     "ldp_estimate": "oracle",

@@ -362,7 +362,7 @@ def _cmd_region(args, scalars) -> int:
 
         curves = [region_123_321(t)[k] for k in ("F1", "F2", "C", "D", "E")]
     else:
-        from .starmodel import region_star23_boundary
+        from .regions import region_star23_boundary
 
         curves = list(region_star23_boundary(t))
     scalars.update({"model": args.model, "samples": args.samples,

@@ -69,8 +69,8 @@ class GridPermuton:
         m = w.shape[0]
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
-        if np.any(w < 0):
-            raise ValueError("cell masses must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("cell masses must be finite and nonnegative")
         target = 1.0 / m
         row = w.sum(axis=1)
         col = w.sum(axis=0)
@@ -124,6 +124,8 @@ class SegmentPermuton:
         seg = np.asarray(self.segments, dtype=np.float64)
         if seg.ndim != 2 or seg.shape[1] != 5:
             raise ValueError("segments must have shape (k, 5)")
+        if not np.all(np.isfinite(seg)):
+            raise ValueError("segment entries must be finite")
         seg.setflags(write=False)
         object.__setattr__(self, "segments", seg)
         x0, x1, y0, slope, mass = seg.T
@@ -361,8 +363,8 @@ def rebalance_marginals(w: np.ndarray, tol: float = 1e-13,
     w = np.array(w, dtype=np.float64)
     m = w.shape[0]
     target = 1.0 / m
+    rows = w.sum(axis=1)
     for _ in range(max_iter):
-        rows = w.sum(axis=1)
         if np.any(rows <= 0):
             raise ValueError("cannot rebalance: zero row mass")
         w *= (target / rows)[:, None]
@@ -370,7 +372,8 @@ def rebalance_marginals(w: np.ndarray, tol: float = 1e-13,
         if np.any(cols <= 0):
             raise ValueError("cannot rebalance: zero column mass")
         w *= (target / cols)[None, :]
-        dev = max(abs(w.sum(axis=1) - target).max(), abs(w.sum(axis=0) - target).max())
+        rows = w.sum(axis=1)
+        dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
         if dev <= tol:
             return w
     raise RuntimeError(f"marginal rebalancing did not reach {tol:.1e} "

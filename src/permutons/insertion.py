@@ -82,8 +82,8 @@ class InsertionFamily:
             ny = column_cells(xs[c], self.my)
             if f.shape != (ny,):
                 raise ValueError(f"column {c} must have {ny} cells, got {f.shape}")
-            if np.any(f < 0):
-                raise ValueError(f"column {c} has negative density")
+            if not np.all(np.isfinite(f) & (f >= 0)):
+                raise ValueError(f"column {c} has a negative or non-finite density")
             total = f.sum() * (xs[c] / ny)
             if abs(total - 1.0) > COLUMN_NORM_TOL:
                 raise ValueError(
@@ -256,12 +256,6 @@ def reconstruct(fam: InsertionFamily, m_out: int,
                            abs(w.sum(axis=0) / target - 1.0).max()))
     w = rebalance_marginals(w, tol=1e-13)
     return ReconstructionResult(GridPermuton(w), correction)
-
-
-def permuton_from_insertion(fam: InsertionFamily, m_out: int,
-                            step: float = 1.0 / 512) -> GridPermuton:
-    """Reconstructed step permuton (see ``reconstruct`` for the correction)."""
-    return reconstruct(fam, m_out, step).grid
 
 
 def family_to_csv(fam: InsertionFamily) -> str:

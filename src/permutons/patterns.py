@@ -33,9 +33,10 @@ coefficient fields are linear in w through prefix sums, so the adjoint is a
 sum of suffix scans of weighted channel products.  Gradients power the
 constrained entropy optimizer.
 
-Monte-Carlo densities draw k points per trial (vectorized across trials) and
-report the binomial standard error; star classes *...*l are matched by the
-rank of the last point alone.
+Monte Carlo densities draw k points per trial (vectorized across trials) and
+report the binomial standard error.  One matcher, ``_matches``, decides
+whether k points realize a pattern, for these trials, for ``pattern_count``
+and for the staircase sweep in ``regions``; it ranks by pairwise comparison.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, Permutation, SegmentPermuton, sample_points
+from .core import GridPermuton, Permutation, SegmentPermuton, sample_permutation, sample_points
 
 # E[(basis_a)(basis_b)] over (u,v) uniform in the unit cell, basis (1,u,v,uv).
 _BIL = np.array([
@@ -142,27 +143,40 @@ class DensityEstimate:
 def pattern_count(pi: Permutation, tau: PatternSpec) -> int:
     """Number of index k-subsets of pi realizing tau (or its star class).
 
-    Direct enumeration over C(n, k) subsets; intended for n <= 20, k <= 4.
+    Enumerates all C(n, k) subsets in blocks of 2^16 index rows, so memory
+    stays bounded for any n while the time grows like C(n, k).
     """
     n, k = pi.n, tau.k
     if k > n:
         raise ValueError(f"pattern length {k} exceeds permutation length {n}")
-    vals = pi.values
+    subsets = itertools.combinations(range(n), k)
     count = 0
+    while (idx := np.fromiter(itertools.islice(subsets, 1 << 16), (np.intp, k))).size:
+        count += _matches(idx, pi.values[idx], tau)
+    return count
+
+
+def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> int:
+    """Number of rows of k points (x[r, :], y[r, :]), in any order, realizing tau.
+
+    Ranks come from one comparison per pair of columns, no sort; ties rank
+    the earlier column lower, so every row's ranks form a permutation.  The
+    point of x-rank a must have y-rank tau[a]; for a star class *...*l only
+    the point of x-rank k is checked, against y-rank l.
+    """
+    k = x.shape[1]
+    zero = np.zeros(x.shape[0], dtype=np.intp)
+    rx, ry = [zero] * k, [zero] * k
+    for i, j in itertools.combinations(range(k), 2):
+        for z, rank in ((x, rx), (y, ry)):
+            below = z[:, i] <= z[:, j]
+            rank[j] = rank[j] + below
+            rank[i] = rank[i] + ~below
     if tau.star is not None:
         ell = tau.star[1]
-        for idx in itertools.combinations(range(n), k):
-            sub = vals[list(idx)]
-            # star class: only the rank of the last element matters
-            if int(np.sum(sub <= sub[-1])) == ell:
-                count += 1
-        return count
-    target = np.asarray(tau.values)
-    for idx in itertools.combinations(range(n), k):
-        sub = vals[list(idx)]
-        if np.array_equal(np.argsort(np.argsort(sub)) + 1, target):
-            count += 1
-    return count
+        return int(np.count_nonzero([(a == k - 1) & (b == ell - 1) for a, b in zip(rx, ry)]))
+    want = np.asarray(tau.values) - 1
+    return int(np.count_nonzero(np.all([b == want[a] for a, b in zip(rx, ry)], axis=0)))
 
 
 def _channels(w: np.ndarray):
@@ -187,10 +201,10 @@ def _channels(w: np.ndarray):
     return A, B, C, D, U
 
 
-def _J(w, P, Q) -> float:
-    """E over P0 ~ gamma of (quadrant P mass)(quadrant Q mass)."""
+def _J(w, P, Q):
+    """E over P0 ~ gamma of (quadrant P mass)(quadrant Q mass), and its field q."""
     q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
-    return float(np.sum(w * q))
+    return float(np.sum(w * q)), q
 
 
 def _suffix2d_strict(T):
@@ -211,14 +225,13 @@ def _suffix_axis0_strict(T):
     return out
 
 
-def _grad_J(w, P, Q, sP: float, sQ: float):
-    """Gradient of _J(w, P, Q) in w.
+def _grad_J(w, P, Q, q, sP: float, sQ: float):
+    """Gradient of _J(w, P, Q) in w, given the field q that _J returns.
 
     sP, sQ are the signs of the w-dependent parts of the quadrant fields
     (+1 for A and B, -1 for C and D, 0 for the constant field U); the affine
     parts contribute only through the direct term.
     """
-    q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
     TQ = np.einsum("cb,bij->cij", _BIL, Q)
     TP = np.einsum("ac,aij->cij", _BIL, P)
     T = w[None] * (sP * TQ + sQ * TP)
@@ -268,15 +281,11 @@ def _density_exact_impl(w: np.ndarray, tau: PatternSpec, want_grad: bool):
     for member in tau.members():
         for coeff, pn, qn in _exact_terms(member):
             P, Q = fields[pn], fields[qn]
-            value += coeff * _J(w, P, Q)
+            J, q = _J(w, P, Q)
+            value += coeff * J
             if want_grad:
-                grad += coeff * _grad_J(w, P, Q, _QSIGN[pn], _QSIGN[qn])
+                grad += coeff * _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn])
     return value, grad
-
-
-def _ranks_rows(y: np.ndarray) -> np.ndarray:
-    """Row-wise ranks (1-based) of y values."""
-    return np.argsort(np.argsort(y, axis=1), axis=1) + 1
 
 
 def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
@@ -298,26 +307,14 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n_points == k:
         hits = 0
-        chunk = 200_000
-        done = 0
-        while done < trials:
-            t = min(chunk, trials - done)
+        for done in range(0, trials, 200_000):
+            t = min(200_000, trials - done)
             x, y = sample_points(source, t * k, rng)
-            x = x.reshape(t, k)
-            y = y.reshape(t, k)
-            order = np.argsort(x, axis=1)
-            ysorted = np.take_along_axis(y, order, axis=1)
-            ranks = _ranks_rows(ysorted)
-            if tau.star is not None:
-                hits += int(np.sum(ranks[:, -1] == tau.star[1]))
-            else:
-                hits += int(np.sum(np.all(ranks == np.asarray(tau.values), axis=1)))
-            done += t
+            hits += _matches(x.reshape(t, k), y.reshape(t, k), tau)
         value = hits / trials
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / trials)
         return DensityEstimate(value, stderr, trials)
     # subset-averaged estimator
-    from .core import sample_permutation
     total = math.comb(n_points, k)
     vals = np.empty(trials)
     for t in range(trials):

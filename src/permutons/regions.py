@@ -17,6 +17,9 @@ point in the ascent descend).  F1 and F2 cross at a concave "dimple" (r, r)
 where r = s^3 and s solves s^3 = (1-s)^3 + 3 s (1-s)^2; both coordinates of
 the crossing are computed here by bisection.
 
+``region_star23_boundary`` gives the two boundary curves of the star pair
+(rho_*2, rho_**3).
+
 ``gamma_ab_sweep`` estimates (rho_12, rho_123) by Monte Carlo over the
 two-parameter staircase family gamma_{a,b}: the image of the parameter
 triangle 0 <= b <= a/2 fills the (rho_12, rho_123) feasible region, so the
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import gamma_ab, sample_points
+from .patterns import PatternSpec, _matches
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,19 @@ def region_123_321(t_samples) -> dict[str, RegionCurve]:
     return curves
 
 
+def region_star23_boundary(t_samples) -> tuple[RegionCurve, RegionCurve]:
+    """Lower and upper boundary curves of the (rho_*2, rho_**3) region.
+
+    Lower: (2t - t^2, 3t^2 - 2t^3); upper: (1 - t^2, 1 - t^3), t in [0, 1].
+    """
+    t = np.asarray(t_samples, dtype=np.float64)
+    lower = RegionCurve("star23-lower", t,
+                        np.column_stack([2 * t - t ** 2, 3 * t ** 2 - 2 * t ** 3]))
+    upper = RegionCurve("star23-upper", t,
+                        np.column_stack([1 - t ** 2, 1 - t ** 3]))
+    return lower, upper
+
+
 def dimple(tol: float = 1e-12) -> tuple[float, float]:
     """The crossing (r, r) of F1 and F2: solves s^3 = (1-s)^3 + 3s(1-s)^2.
 
@@ -106,27 +123,19 @@ def gamma_ab_sweep(a_samples, b_fractions, mc_trials: int,
         raise ValueError("b fractions must lie in [0, 1]")
     pairs = [(float(a), float(frac * a / 2)) for a in a_samples for frac in b_fractions]
     seeds = np.random.SeedSequence(seed).spawn(len(pairs))
+    asc2, asc3 = PatternSpec.parse("12"), PatternSpec.parse("123")
     rows = np.empty((len(pairs), 4))
     for i, ((a, b), ss) in enumerate(zip(pairs, seeds)):
         perm = gamma_ab(a, b)
         rng = np.random.default_rng(ss)
-        hits12 = 0
-        hits123 = 0
-        done = 0
-        chunk = 250_000
-        while done < mc_trials:
-            t = min(chunk, mc_trials - done)
+        hits12 = hits123 = 0
+        for done in range(0, mc_trials, 250_000):
+            t = min(250_000, mc_trials - done)
             x, y = sample_points(perm, 3 * t, rng)
-            x = x.reshape(t, 3)
-            y = y.reshape(t, 3)
-            order = np.argsort(x, axis=1)
-            ys = np.take_along_axis(y, order, axis=1)
-            hits123 += int(np.sum((ys[:, 0] < ys[:, 1]) & (ys[:, 1] < ys[:, 2])))
+            x, y = x.reshape(t, 3), y.reshape(t, 3)
+            hits123 += _matches(x, y, asc3)
             # rho_12 must use an unsorted pair: the two x-smallest of three
             # points are not an i.i.d. pair, so reuse the raw first two draws
-            asc = ((x[:, 0] < x[:, 1]) & (y[:, 0] < y[:, 1])) | \
-                  ((x[:, 1] < x[:, 0]) & (y[:, 1] < y[:, 0]))
-            hits12 += int(np.sum(asc))
-            done += t
+            hits12 += _matches(x[:, :2], y[:, :2], asc2)
         rows[i] = (a, b, hits12 / mc_trials, hits123 / mc_trials)
     return rows

@@ -63,7 +63,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import spence
 
 from .core import GridPermuton, uniform_grid
-from .regions import RegionCurve
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
@@ -312,9 +311,11 @@ def _fe_checked(exponents, alpha, nquad):
     """Evaluate at nquad and 2*nquad; refuse silently inaccurate quadrature."""
     F1, g1, h1 = _fe_parts(exponents, alpha, nquad)
     F2, g2, h2 = _fe_parts(exponents, alpha, 2 * nquad)
-    if abs(F1 - F2) > 1e-6 * max(1.0, abs(F2)):
-        raise RuntimeError(
-            f"free-energy quadrature did not converge (refinement residual {abs(F1 - F2):.3e})")
+    gap = abs(F1 - F2)
+    if gap > 1e-6 * max(1.0, abs(F2)):
+        raise ConvergenceError(
+            f"free-energy quadrature did not converge at quad = {nquad} "
+            f"(refinement residual {gap:.3e}); raise quad", gap, alpha)
     return F2, g2, h2
 
 
@@ -346,7 +347,9 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
     densities rho_i.  The Hessian is SPD, so the Newton direction always
     exists; damping halves the step until the residual decreases.  Failure to
     reach the residual tolerance signals a target on or outside the feasible
-    region (boundary permutons have entropy -inf and |alpha| -> inf).
+    region (boundary permutons have entropy -inf and |alpha| -> inf).  A
+    solution whose residual at 2*quad nodes exceeds ``tol`` raises a
+    ConvergenceError that names the quadrature.
     """
     exps = [(int(r), int(s)) for r, s in exponents]
     # construct a throwaway model so the exponent invariants are enforced here
@@ -396,18 +399,10 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
         iters += 1
     # confirm quadrature accuracy at the solution
     F, grad, hess = _fe_checked(exps, alpha, quad)
+    refined = float(np.abs(grad - scaled).max())
+    if refined > tol:
+        raise ConvergenceError(
+            f"free-energy quadrature under-resolved at quad = {quad} (residual "
+            f"{refined:.3e} at 2*quad nodes, tol {tol:.1e}); raise quad", refined, alpha)
     entropy = F - float(alpha @ grad)
     return StarSolution(tuple(exps), alpha, kfac * grad, F, entropy, hess, iters)
-
-
-def region_star23_boundary(t_samples) -> tuple[RegionCurve, RegionCurve]:
-    """Lower and upper boundary curves of the (rho_*2, rho_**3) region.
-
-    Lower: (2t - t^2, 3t^2 - 2t^3); upper: (1 - t^2, 1 - t^3), t in [0, 1].
-    """
-    t = np.asarray(t_samples, dtype=np.float64)
-    lower = RegionCurve("star23-lower", t,
-                        np.column_stack([2 * t - t ** 2, 3 * t ** 2 - 2 * t ** 3]))
-    upper = RegionCurve("star23-upper", t,
-                        np.column_stack([1 - t ** 2, 1 - t ** 3]))
-    return lower, upper

@@ -85,6 +85,13 @@ def test_argument_errors_exit_2(tmp_path):
     assert main(["star12", "--r", "1.0", "--rho", "0.5"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["ldp", "--rho", "0.4", "--eps", "0.05", "--n", "9999"]) == 2
+    # a non-finite cell mass is invalid input, not an entropy of 0
+    rows = load(g).splitlines()
+    rows[1] = "nan" + rows[1][rows[1].index(","):]
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert main(["entropy", "--in", str(bad), "--manifest", str(man)]) == 2
+    assert not man.exists()
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -104,6 +111,16 @@ def test_solver_divergence_exits_3_with_diagnostics(tmp_path):
     record = json.loads(load(man))
     assert record["exit_code"] == 3
     assert record["scalars"]["converged"] is False
+    # feasible, but 2e-4 above the lower curve the default quadrature cannot
+    # resolve the solution; the failure still writes its diagnostics
+    target = (2.0 ** 0.5 - 1.0) / 2.0 + 2e-4
+    code = main(["solve-star", "--terms", "1,0;2,0", "--targets", f"0.5,{target!r}",
+                 "--out", str(out)])
+    assert code == 3
+    diag = json.loads(load(out))
+    assert diag["converged"] is False
+    assert "quadrature" in diag["message"]
+    assert diag["residual"] > 0.0
 
 
 def test_solver_success_json(tmp_path):

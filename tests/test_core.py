@@ -59,6 +59,13 @@ def test_grid_validation_rejects_bad_marginals():
     w[0, 0], w[1, 1] = -0.25, 0.75  # marginals fine, sign is not
     with pytest.raises(ValueError):
         GridPermuton(w)
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.full((2, 2), 0.25)
+        w[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridPermuton(w)
+        with pytest.raises(ValueError, match="finite"):
+            grid_from_csv(f"m=2\n0.25,{bad}\n0.25,0.25\n")
 
 
 def test_marginal_tolerance_is_tight():
@@ -166,6 +173,11 @@ def test_segment_permuton_marginals():
     # degenerate staircase (b = 0) and the bare descent both validate
     gamma_ab(0.5, 0.0)
     gamma_ab(0.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        seg = g.segments.copy()
+        seg[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SegmentPermuton(seg)
 
 
 def test_sample_points_ranges_and_law():

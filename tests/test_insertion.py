@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from permutons import (
+    InsertionFamily,
     Permutation,
     entropy_grid,
     family_from_csv,
@@ -24,7 +25,6 @@ from permutons import (
     grid_from_permutation,
     insertion_entropy,
     insertion_from_permuton,
-    permuton_from_insertion,
     reconstruct,
     rect_distance,
     star12_entropy,
@@ -133,13 +133,6 @@ def test_reconstruction_of_flat_family_is_uniform():
     assert res.correction < 1e-6
 
 
-def test_permuton_from_insertion_matches_reconstruct():
-    fam = star12_family(-1.5, 48, 48)
-    g1 = permuton_from_insertion(fam, 16)
-    g2 = reconstruct(fam, 16).grid
-    assert np.abs(g1.w - g2.w).max() == 0.0
-
-
 def test_family_csv_round_trip():
     fam = star12_family(-2.5, 16, 24)
     text = family_to_csv(fam)
@@ -160,6 +153,14 @@ def test_family_csv_rejects_malformed_input():
     lines = text.splitlines()
     with pytest.raises(ValueError):
         family_from_csv("\n".join(lines[:-1]) + "\n")
+    # non-finite densities: the constructor rejects them, and so the parser
+    for bad in (np.nan, np.inf, -np.inf):
+        cols = [np.array(c) for c in fam.cols]
+        cols[0][0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            InsertionFamily(fam.mt, fam.my, tuple(cols))
+    with pytest.raises(ValueError, match="non-finite"):
+        family_from_csv("\n".join([lines[0], "1,1,nan", *lines[2:]]) + "\n")
 
 
 def test_reconstruct_validates_arguments():

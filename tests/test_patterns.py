@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     GridPermuton,
@@ -181,19 +183,25 @@ def test_pattern_count_hand_values():
     assert pattern_count(p2413, PatternSpec.parse("2413")) == 1
 
 
-def test_pattern_count_brute_force():
-    rng = np.random.default_rng(53)
-    vals = rng.permutation(np.arange(1, 11))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_pattern_count_brute_force(values):
+    # every explicit pattern and every star class with k <= min(n, 4)
+    vals = np.array(values)
+    n = vals.size
     pi = Permutation(vals)
-    for lab in ("12", "132", "321", "2413"):
-        tau = tuple(int(c) for c in lab)
-        k = len(tau)
-        ref = 0
-        for combo in itertools.combinations(range(10), k):
+    for k in range(1, min(n, 4) + 1):
+        found = []
+        for combo in itertools.combinations(range(n), k):
             sub = vals[list(combo)]
-            if tuple(np.argsort(np.argsort(sub)) + 1) == tau:
-                ref += 1
-        assert pattern_count(pi, PatternSpec.parse(lab)) == ref
+            found.append(tuple(np.argsort(np.argsort(sub)) + 1))
+        for tau in itertools.permutations(range(1, k + 1)):
+            spec = PatternSpec.explicit(tau)
+            assert pattern_count(pi, spec) == found.count(tau)
+        for ell in range(1, k + 1):
+            spec = PatternSpec.star_class(k, ell)
+            ref = sum(found.count(tau) for tau in spec.members())
+            assert pattern_count(pi, spec) == ref
 
 
 def test_star_pattern_count_is_member_sum():
@@ -203,6 +211,11 @@ def test_star_pattern_count_is_member_sum():
         lhs = pattern_count(pi, PatternSpec.parse(star))
         rhs = sum(pattern_count(pi, PatternSpec.parse(t)) for t in mems)
         assert lhs == rhs
+    # n = 80 has C(80, 3) = 82,160 triples, more than one enumeration block
+    pi = Permutation(rng.permutation(np.arange(1, 81)))
+    counts = {t: pattern_count(pi, PatternSpec.parse(t)) for t in ALL3}
+    assert sum(counts.values()) == math.comb(80, 3)
+    assert pattern_count(pi, PatternSpec.parse("**3")) == counts["123"] + counts["213"]
 
 
 @pytest.mark.parametrize("n", [24, 60, 120])
@@ -267,6 +280,20 @@ def test_mc_density_seeded_reproducible():
     a = density_mc(g, PatternSpec.parse("132"), 5000, 99)
     b = density_mc(g, PatternSpec.parse("132"), 5000, 99)
     assert a.value == b.value and a.stderr == b.stderr
+    # hit counts pinned at fixed seeds: any change to the random stream or
+    # to pattern matching shows here
+    sources = {"grid": star12_grid(1.5, 8), "segments": gamma_ab(0.7, 0.2)}
+    pinned = {"grid": (2790, 4965, 545, 5552), "segments": (1803, 4490, 690, 6497)}
+    for name, src in sources.items():
+        for (lab, seed), hits in zip((("132", 5), ("**3", 6), ("2143", 7), ("***2", 8)),
+                                     pinned[name]):
+            est = density_mc(src, PatternSpec.parse(lab), 20000, seed)
+            assert est.value == hits / 20000
+    # the subset estimator averages pattern_count over sampled permutations
+    assert density_mc(sources["grid"], PatternSpec.parse("132"), 40, 9,
+                      n_points=8).value == 0.12008928571428572
+    assert density_mc(sources["segments"], PatternSpec.parse("132"), 40, 9,
+                      n_points=8).value == 0.10491071428571427
 
 
 def test_pattern_spec_parsing_and_errors():

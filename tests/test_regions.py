@@ -159,3 +159,7 @@ def test_sweep_reproducibility():
     r1 = gamma_ab_sweep(a, frac, 3000, 17)
     r2 = gamma_ab_sweep(a, frac, 3000, 17)
     assert np.array_equal(r1, r2)
+    # (rho_12, rho_123) hit counts pinned at a fixed seed
+    rows = gamma_ab_sweep([0.5, 1.0], [0.0, 0.5], 5000, 3)
+    hits = [[1247, 623], [961, 214], [5000, 5000], [3783, 1896]]
+    assert np.array_equal(rows[:, 2:], np.array(hits) / 5000)

@@ -284,3 +284,15 @@ def test_boundary_brackets_solver_feasibility():
     assert np.abs(inside.densities - (x, y_low + 0.05)).max() <= 1e-9
     with pytest.raises(ConvergenceError):
         solve_star(STAR23, (x, max(y_low - 0.05, 1e-3)), max_iter=60)
+    # feasible targets just above the lower curve: at +2e-4 the solution
+    # fails the refined residual check, at +5e-5 the two quadrature
+    # resolutions disagree on F; both errors name the quadrature
+    low = (np.sqrt(2.0) - 1.0) / 2.0
+    for d in (2e-4, 5e-5):
+        with pytest.raises(ConvergenceError, match="quadrature") as err:
+            solve_star(STAR23, (0.5, low + d))
+        assert "quad = 96" in str(err.value)
+        assert err.value.residual > 0.0
+        assert np.asarray(err.value.alpha).shape == (2,)
+    sol = solve_star(STAR23, (0.5, low + 1e-3))
+    assert np.abs(sol.densities - (0.5, low + 1e-3)).max() <= 1e-9
