@@ -52,6 +52,7 @@ _EXPORTS = {
     "pattern_count": "patterns",
     "density_grid_exact": "patterns",
     "density_grid_exact_with_grad": "patterns",
+    "densities": "patterns",
     "density_mc": "patterns",
     # entropy
     "HeatFlowSpec": "entropy",

@@ -125,10 +125,11 @@ def _read_grid(path: str):
 
 def _grid_sidecar(g) -> dict:
     from .entropy import entropy_grid
-    from .patterns import PatternSpec, density_grid_exact
+    from .patterns import PatternSpec, densities
 
-    dens = {lbl: density_grid_exact(g, PatternSpec.parse(lbl))
-            for lbl in ("12", "21", "123", "132", "213", "231", "312", "321")}
+    labels = ("12", "21", "123", "132", "213", "231", "312", "321")
+    values, _ = densities(g, [PatternSpec.parse(lbl) for lbl in labels])
+    dens = {lbl: float(v) for lbl, v in zip(labels, values)}
     return {"m": g.m, "entropy": entropy_grid(g), "densities": dens}
 
 
@@ -258,9 +259,13 @@ def _cmd_optimize(args, scalars) -> int:
         print(f"rho({lbl}) = {_f(v)}")
     print(f"max_residual = {_f(scalars['max_residual'])}")
     if not res.converged:
-        print("error: optimizer did not reach the constraint/gradient "
-              "tolerances (targets may be on or outside the feasible region)",
-              file=sys.stderr)
+        stop = res.history[-1].get("stop") if res.history else None
+        if stop is not None:
+            print(f"error: {stop}", file=sys.stderr)
+        else:
+            print("error: optimizer did not reach the constraint/gradient "
+                  "tolerances (targets may be on or outside the feasible region)",
+                  file=sys.stderr)
         return 3
     return 0
 

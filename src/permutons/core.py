@@ -364,12 +364,14 @@ def rebalance_marginals(w: np.ndarray, tol: float = 1e-13,
     m = w.shape[0]
     target = 1.0 / m
     rows = w.sum(axis=1)
+    # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
+    # is; min would return NaN and miss a zero sum next to a NaN one
     for _ in range(max_iter):
-        if np.any(rows <= 0):
+        if np.fmin.reduce(rows) <= 0:
             raise ValueError("cannot rebalance: zero row mass")
         w *= (target / rows)[:, None]
         cols = w.sum(axis=0)
-        if np.any(cols <= 0):
+        if np.fmin.reduce(cols) <= 0:
             raise ValueError("cannot rebalance: zero column mass")
         w *= (target / cols)[None, :]
         rows = w.sum(axis=1)

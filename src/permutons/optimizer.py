@@ -20,7 +20,12 @@ constraints, so |pg| measures first-order optimality.  The step size grows
 geometrically while steps keep improving Phi and is halved on failure
 (backtracking), making the accepted inner objective sequence nondecreasing.
 Density gradients are the analytic prefix-sum adjoints from the exact
-pattern-density evaluation.
+pattern-density evaluation.  Each projected trial point costs one batched
+``densities`` call for all constraint patterns and one entropy evaluation;
+an accepted point keeps both, so the next inner iteration starts from them
+without recomputing anything.  A projection that stalls on a trial step
+ends the run: the last accepted iterate is returned unconverged, and the
+last ``history`` entry records the cause under ``"stop"``.
 
 The converged grids satisfy the Euler-Lagrange equations of the continuum
 problem; ``pde_residual_12`` and ``pde_residual_123`` check them.  For a
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridPermuton, cdf, rebalance_marginals, uniform_grid
-from .patterns import PatternSpec, density_grid_exact_with_grad
+from .patterns import PatternSpec, densities
 
 
 @dataclass(frozen=True)
@@ -141,15 +146,6 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
     patterns = [c.pattern for c in cons.constraints]
     targets = np.array([c.target for c in cons.constraints])
     k = len(patterns)
-
-    def densities_and_grads(wm):
-        g = GridPermuton(wm)
-        vals = np.empty(k)
-        grads = np.empty((k, m, m))
-        for i, pat in enumerate(patterns):
-            vals[i], grads[i] = density_grid_exact_with_grad(g, pat)
-        return vals, grads
-
     lam = np.zeros(k)
     mu = 10.0
     total_inner = 0
@@ -158,22 +154,22 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
     converged = False
 
     def phi_of(wm, rho):
-        H, _ = _entropy_and_grad(wm, m)
+        H, gH = _entropy_and_grad(wm, m)
         c = rho - targets
-        return H - lam @ c - 0.5 * mu * (c @ c)
+        return H - lam @ c - 0.5 * mu * (c @ c), gH
 
+    rho, grads = densities(GridPermuton(w), patterns, grad=True)
     for outer in range(max_outer):
         eta = 0.5
-        rho, grads = densities_and_grads(w)
-        phi = phi_of(w, rho)
+        phi, gH = phi_of(w, rho)
         phi_series = [phi]
         inner_ok = False
+        stop = None
         inner = 0
         while inner < max_inner:
             inner += 1
             total_inner += 1
             c = rho - targets
-            _, gH = _entropy_and_grad(w, m)
             g = gH - np.tensordot(lam + mu * c, grads, axes=1)
             pg = _center(g)
             if np.abs(pg).max() < tol_grad:
@@ -181,16 +177,22 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
                 break
             accepted = False
             while eta >= 1e-9:
-                trial = rebalance_marginals(w * np.exp(eta * pg))
-                rho_t, grads_t = densities_and_grads(trial)
-                phi_t = phi_of(trial, rho_t)
+                try:
+                    trial = rebalance_marginals(w * np.exp(eta * pg))
+                except RuntimeError as exc:
+                    stop = f"projection stalled: {exc}"
+                    break
+                rho_t, grads_t = densities(GridPermuton(trial), patterns, grad=True)
+                phi_t, gH_t = phi_of(trial, rho_t)
                 if phi_t >= phi - 1e-15:
-                    w, rho, grads, phi = trial, rho_t, grads_t, phi_t
+                    w, rho, grads, phi, gH = trial, rho_t, grads_t, phi_t, gH_t
                     phi_series.append(phi)
                     eta = min(eta * 1.3, 5.0)
                     accepted = True
                     break
                 eta *= 0.5
+            if stop is not None:
+                break
             if not accepted:
                 # step collapsed: the merit is flat to machine precision, so
                 # the iterate is stationary even if the gradient tolerance
@@ -201,6 +203,9 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
         maxc = float(np.abs(c).max())
         history.append({"outer": outer, "inner": inner, "max_residual": maxc,
                         "phi": phi, "phi_series": phi_series})
+        if stop is not None:
+            history[-1]["stop"] = stop
+            break
         if maxc < tol_constraint and inner_ok:
             converged = True
             break

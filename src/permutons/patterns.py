@@ -33,6 +33,15 @@ coefficient fields are linear in w through prefix sums, so the adjoint is a
 sum of suffix scans of weighted channel products.  Gradients power the
 constrained entropy optimizer.
 
+``densities`` evaluates a list of patterns on one grid: it builds the
+channels once (the w-independent parts, cell corners and the constant
+field, once per resolution) and evaluates each distinct quadrant term
+E[P Q], with its gradient, once for all the patterns that use it.  Every
+density is a fixed sum of such terms (the table in ``_exact_terms``), added
+in the same order whatever else is in the list, so a batched value or
+gradient is bitwise the one computed for its pattern alone.  The optimizer
+makes one such call per iterate, the CLI sidecar one per grid.
+
 Monte Carlo densities draw k points per trial (vectorized across trials) and
 report the binomial standard error.  One matcher, ``_matches``, decides
 whether k points realize a pattern, for these trials, for ``pattern_count``
@@ -41,6 +50,7 @@ and for the staircase sweep in ``regions``; it ranks by pairwise comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,25 +189,49 @@ def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> int:
     return int(np.count_nonzero(np.all([b == want[a] for a, b in zip(rx, ry)], axis=0)))
 
 
+@functools.lru_cache(maxsize=4)
+def _fixed_fields(m: int):
+    """The w-independent parts of the quadrant fields at resolution m.
+
+    Cell corners xi (a column) and yj (a row), the full field 1 - xi - yj,
+    and the constant field U.  Cached for the last few resolutions used and
+    read-only, since every call at that resolution shares them.
+    """
+    xi = (np.arange(m) / m)[:, None]
+    yj = (np.arange(m) / m)[None, :]
+    b0 = 1.0 - xi - yj
+    U = np.zeros((4, m, m))
+    U[0] = 1.0
+    for a in (xi, yj, b0, U):
+        a.setflags(write=False)
+    return xi, yj, b0, U
+
+
 def _channels(w: np.ndarray):
     """Quadrant coefficient fields (4, m, m) for A, B, C, D (see module doc)."""
     m = w.shape[0]
-    pref = np.cumsum(np.cumsum(w, axis=0), axis=1)
-    g00 = np.zeros((m, m))
-    g00[1:, 1:] = pref[:-1, :-1]        # sum over i' < i, j' < j
-    gu = np.zeros((m, m))
-    gu[:, 1:] = np.cumsum(w, axis=1)[:, :-1]   # same row i, j' < j
-    gv = np.zeros((m, m))
-    gv[1:, :] = np.cumsum(w, axis=0)[:-1, :]   # same column j, i' < i
-    xi = (np.arange(m) / m)[:, None] * np.ones((1, m))
-    yj = (np.arange(m) / m)[None, :] * np.ones((m, 1))
-    one = np.ones((m, m))
-    inv = one / m
-    A = np.stack([g00, gu, gv, w])
-    B = np.stack([1.0 - xi - yj + g00, gu - inv, gv - inv, w])
-    C = np.stack([xi - g00, inv - gu, -gv, -w])
-    D = np.stack([yj - g00, -gu, inv - gv, -w])
-    U = np.stack([one, np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)])
+    xi, yj, b0, U = _fixed_fields(m)
+    inv = 1.0 / m
+    A = np.zeros((4, m, m))
+    g00, gu, gv = A[0], A[1], A[2]
+    col = np.cumsum(w, axis=0)
+    g00[1:, 1:] = np.cumsum(col, axis=1)[:-1, :-1]  # sum over i' < i, j' < j
+    gu[:, 1:] = np.cumsum(w, axis=1)[:, :-1]          # same row i, j' < j
+    gv[1:, :] = col[:-1, :]                           # same column j, i' < i
+    A[3] = w
+    B, C, D = np.empty((3, 4, m, m))
+    np.add(b0, g00, out=B[0])
+    np.subtract(gu, inv, out=B[1])
+    np.subtract(gv, inv, out=B[2])
+    B[3] = w
+    np.subtract(xi, g00, out=C[0])
+    np.subtract(inv, gu, out=C[1])
+    np.negative(gv, out=C[2])
+    np.negative(w, out=C[3])
+    np.subtract(yj, g00, out=D[0])
+    np.negative(gu, out=D[1])
+    np.subtract(inv, gv, out=D[2])
+    D[3] = C[3]
     return A, B, C, D, U
 
 
@@ -208,20 +242,20 @@ def _J(w, P, Q):
 
 
 def _suffix2d_strict(T):
-    out = np.zeros_like(T)
-    out[:-1, :-1] = np.cumsum(np.cumsum(T[::-1, ::-1], 0), 1)[::-1, ::-1][1:, 1:]
+    out = np.zeros(T.shape)
+    out[:-1, :-1] = T[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1][1:, 1:]
     return out
 
 
 def _suffix_axis1_strict(T):
-    out = np.zeros_like(T)
-    out[:, :-1] = np.cumsum(T[:, ::-1], 1)[:, ::-1][:, 1:]
+    out = np.zeros(T.shape)
+    out[:, :-1] = T[:, ::-1].cumsum(1)[:, ::-1][:, 1:]
     return out
 
 
 def _suffix_axis0_strict(T):
-    out = np.zeros_like(T)
-    out[:-1, :] = np.cumsum(T[::-1, :], 0)[::-1, :][1:, :]
+    out = np.zeros(T.shape)
+    out[:-1, :] = T[::-1, :].cumsum(0)[::-1, :][1:, :]
     return out
 
 
@@ -258,34 +292,57 @@ def _exact_terms(tau_values: tuple[int, ...]):
 _QSIGN = {"A": 1.0, "B": 1.0, "C": -1.0, "D": -1.0, "U": 0.0}
 
 
+def densities(g: GridPermuton, taus, *, grad: bool = False):
+    """Exact densities of several k <= 3 patterns of one step permuton.
+
+    Returns ``(values, grads)``: values[i] is the density of taus[i] and,
+    with ``grad=True``, grads[i] its analytic gradient d rho / d w (m x m);
+    grads is None otherwise.  The quadrant channels are built once, and each
+    distinct quadrant term E[P Q] (with its gradient) is evaluated once and
+    shared by every pattern that uses it: rho_123 and rho_**3 share E[A B],
+    and the eight patterns of length 2 and 3 need 8 terms, not 12.  Each
+    pattern adds its own terms in a fixed order, so its value and gradient
+    are bitwise those of a call for that pattern alone.
+    """
+    taus = tuple(taus)
+    if any(tau.k > 3 for tau in taus):
+        raise ValueError("exact grid densities cover k <= 3 only; use density_mc")
+    w = g.w
+    # a k = 1 pattern keeps density 1 and gradient 0
+    values = np.ones(len(taus))
+    grads = np.zeros((len(taus),) + w.shape) if grad else None
+    fields = None
+    terms = {}
+    for i, tau in enumerate(taus):
+        if tau.k == 1:
+            continue
+        if fields is None:
+            fields = dict(zip("ABCDU", _channels(w)))
+        value = 0.0
+        for member in tau.members():
+            for coeff, pn, qn in _exact_terms(member):
+                term = terms.get((pn, qn))
+                if term is None:
+                    P, Q = fields[pn], fields[qn]
+                    J, q = _J(w, P, Q)
+                    dJ = _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn]) if grad else None
+                    term = terms[pn, qn] = (J, dJ)
+                value += coeff * term[0]
+                if grad:
+                    grads[i] += coeff * term[1]
+        values[i] = value
+    return values, grads
+
+
 def density_grid_exact(g: GridPermuton, tau: PatternSpec) -> float:
     """Exact pattern density of the step permuton, k <= 3 (module doc)."""
-    value, _ = _density_exact_impl(g.w, tau, want_grad=False)
-    return value
+    return float(densities(g, (tau,))[0][0])
 
 
 def density_grid_exact_with_grad(g: GridPermuton, tau: PatternSpec):
     """Exact density and its analytic gradient d rho / d w (same algebra)."""
-    return _density_exact_impl(g.w, tau, want_grad=True)
-
-
-def _density_exact_impl(w: np.ndarray, tau: PatternSpec, want_grad: bool):
-    if tau.k > 3:
-        raise ValueError("exact grid densities cover k <= 3 only; use density_mc")
-    if tau.k == 1:
-        return 1.0, (np.zeros_like(w) if want_grad else None)
-    A, B, C, D, U = _channels(w)
-    fields = {"A": A, "B": B, "C": C, "D": D, "U": U}
-    value = 0.0
-    grad = np.zeros_like(w) if want_grad else None
-    for member in tau.members():
-        for coeff, pn, qn in _exact_terms(member):
-            P, Q = fields[pn], fields[qn]
-            J, q = _J(w, P, Q)
-            value += coeff * J
-            if want_grad:
-                grad += coeff * _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn])
-    return value, grad
+    (value,), (grad,) = densities(g, (tau,), grad=True)
+    return float(value), grad
 
 
 def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,

@@ -117,6 +117,8 @@ def gamma_ab_sweep(a_samples, b_fractions, mc_trials: int,
     Each grid point draws mc_trials independent triples; rho_12 reuses the
     first two points of every triple.
     """
+    if mc_trials < 1:
+        raise ValueError("need at least one trial")
     a_samples = np.atleast_1d(np.asarray(a_samples, dtype=np.float64))
     b_fractions = np.atleast_1d(np.asarray(b_fractions, dtype=np.float64))
     if np.any(b_fractions < 0) or np.any(b_fractions > 1):

@@ -1,12 +1,13 @@
 """Command-line behavior: output files, manifests, exit codes, formats.
 
 Runs the entry point in-process (argv -> return code) so file effects and
-exit codes can be asserted hermetically.  Two tests go through a real
+exit codes can be asserted hermetically.  Three tests go through a real
 process: one drives the installed ``permutons`` console script and is
 skipped when no such script is on PATH (``pip install -e .`` provides
-it); the other runs the ``[project.scripts]`` entry point declared in
+it); one runs the ``[project.scripts]`` entry point declared in
 pyproject.toml the way an installed wrapper does, from the source tree,
-so a broken declaration fails without an install.  Contract highlights
+so a broken declaration fails without an install; one runs
+``python -m permutons`` from the source tree.  Contract highlights
 exercised here: grids emit CSV plus a JSON sidecar with entropy and all
 eight k <= 3 densities; every run with --manifest leaves a record whose
 only run-to-run difference is wall time; validation problems exit 2
@@ -85,6 +86,8 @@ def test_argument_errors_exit_2(tmp_path):
     assert main(["star12", "--r", "1.0", "--rho", "0.5"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["ldp", "--rho", "0.4", "--eps", "0.05", "--n", "9999"]) == 2
+    for trials in ("0", "-5"):
+        assert main(["sweep-ab", "--na", "2", "--nb", "2", "--trials", trials]) == 2
     # a non-finite cell mass is invalid input, not an entropy of 0
     rows = load(g).splitlines()
     rows[1] = "nan" + rows[1][rows[1].index(","):]
@@ -148,6 +151,31 @@ def test_optimize_writes_grid_and_sidecar(tmp_path):
     assert header[2] == "255"
     body = [int(v) for row in header[3:] for v in row.split()]
     assert len(body) == 256 and max(body) == 255
+
+
+def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeypatch):
+    import permutons.optimizer as opt
+
+    real, calls = opt.rebalance_marginals, []
+
+    def stalls_on_fifth_call(w, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("marginal rebalancing did not reach 1.0e-13")
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(opt, "rebalance_marginals", stalls_on_fifth_call)
+    out = tmp_path / "opt.csv"
+    man = tmp_path / "m.json"
+    code = main(["optimize", "--constraints", "12=0.4", "--grid", "16",
+                 "--out", str(out), "--manifest", str(man)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: projection stalled: marginal rebalancing did not reach" in err
+    assert load(out).splitlines()[0] == "m=16"
+    record = json.loads(load(man))
+    assert record["exit_code"] == 3
+    assert record["scalars"]["converged"] is False
 
 
 def test_density_exact_and_mc(tmp_path, capsys):
@@ -317,3 +345,20 @@ def test_declared_entry_point_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "entropy = " in proc.stdout
     assert load(out).splitlines()[0] == "m=16"
+
+
+def test_python_dash_m_round_trip(tmp_path):
+    # runs from the source tree, as the tier-1 suite does, with no install
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "g.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "permutons", "star12", "--rho", "0.3", "--grid", "16",
+         "--out", str(out), "--threads", "1"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "entropy = " in proc.stdout
+    assert load(out).splitlines()[0] == "m=16"
+    proc = subprocess.run([sys.executable, "-m", "permutons", "no-such-command"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2

@@ -118,6 +118,44 @@ def test_unreachable_target_reports_failure():
     assert len(res.history) == 6
 
 
+def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch):
+    # a Sinkhorn stall inside a trial step ends the run unconverged, with
+    # the cause recorded, instead of escaping as a RuntimeError
+    import permutons.optimizer as opt
+
+    real, calls, projected = opt.rebalance_marginals, [], []
+
+    def stalls_on_seventh_call(w, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raise RuntimeError("marginal rebalancing did not reach 1.0e-13")
+        projected.append(real(w, *args, **kwargs))
+        return projected[-1]
+
+    monkeypatch.setattr(opt, "rebalance_marginals", stalls_on_seventh_call)
+    res = maximize_entropy(ConstraintSet.of(("123", 0.3)), 16)
+    assert not res.converged
+    assert len(calls) == 7 and len(res.history) == 1
+    assert res.history[-1]["stop"] == (
+        "projection stalled: marginal rebalancing did not reach 1.0e-13")
+    assert res.iterations == res.history[-1]["inner"]
+    # the returned grid is a projected trial, and the one whose merit was
+    # accepted last (first outer pass: lambda = 0, mu = 10)
+    assert any(np.array_equal(res.grid.w, w) for w in projected)
+    c = res.achieved[0] - 0.3
+    assert res.history[-1]["phi_series"][-1] == pytest.approx(
+        res.entropy - 5.0 * c * c, abs=1e-12)
+    assert res.achieved[0] == density_grid_exact(res.grid, PatternSpec.parse("123"))
+
+
+def test_zero_outer_budget_returns_the_start():
+    res = maximize_entropy(ConstraintSet.of(("12", 0.3)), 8, max_outer=0)
+    assert not res.converged
+    assert res.history == [] and res.iterations == 0
+    assert np.array_equal(res.grid.w, uniform_grid(8).w)
+    assert res.achieved[0] == density_grid_exact(uniform_grid(8), PatternSpec.parse("12"))
+
+
 def test_two_constraint_problem():
     cs = ConstraintSet.of(("12", 0.55), ("123", 0.2))
     res = maximize_entropy(cs, 16)

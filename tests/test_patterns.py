@@ -31,6 +31,7 @@ from permutons import (
     density_grid_exact,
     density_grid_exact_with_grad,
     density_mc,
+    densities,
     gamma_ab,
     grid_from_permutation,
     pattern_count,
@@ -232,27 +233,82 @@ def test_density_approximates_count_proportion(n):
         assert abs(dens - prop) <= k * (k - 1) / (2.0 * n)
 
 
-def test_gradient_matches_finite_differences():
+# every k <= 3 spec: explicit patterns and star classes, including the
+# pairs that share quadrant terms (123, 213 and **3 all use E[A B])
+SPECS = ([PatternSpec.parse(t) for t in ["1", "12", "21"] + ALL3]
+         + [PatternSpec.star_class(k, ell) for k in (1, 2, 3) for ell in range(1, k + 1)])
+
+positive_grids = st.tuples(st.integers(2, 12), st.integers(0, 2**32 - 1),
+                           st.sampled_from([1.0, 3.0]))
+
+
+def positive_grid(params):
+    # the exponent 3 gives peaked grids, cell masses spread over ~3 decades
+    m, seed, power = params
+    w = np.random.default_rng(seed).uniform(0.1, 1.0, size=(m, m)) ** power
+    return GridPermuton(rebalance_marginals(w))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(positive_grids,
+       st.lists(st.sampled_from(SPECS), min_size=1, max_size=8)
+       | st.permutations([PatternSpec.parse(t) for t in ("12", "123", "213", "**3")]))
+def test_batched_densities_equal_single_pattern_calls(params, taus):
+    # the batch shares channels and quadrant terms across patterns, yet every
+    # value and gradient is bitwise that of the pattern's own call
+    g = positive_grid(params)
+    values, grads = densities(g, taus, grad=True)
+    plain, none = densities(g, taus)
+    assert none is None
+    assert values.shape == (len(taus),) and grads.shape == (len(taus), g.m, g.m)
+    assert np.array_equal(values, plain)
+    for tau, value, grad in zip(taus, values, grads):
+        single, single_grad = density_grid_exact_with_grad(g, tau)
+        assert value == single == density_grid_exact(g, tau)
+        assert np.array_equal(grad, single_grad)
+
+
+def test_batched_sidecar_densities_at_m256():
+    g = star12_grid(1.5, 256)
+    taus = [PatternSpec.parse(t) for t in ["12", "21"] + ALL3]
+    values, grads = densities(g, taus)
+    assert grads is None
+    for tau, value in zip(taus, values):
+        assert value == density_grid_exact(g, tau)
+    assert values[:2].sum() == pytest.approx(1.0, abs=1e-12)
+    assert values[2:].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_batched_densities_reject_long_patterns():
+    g = uniform_grid(3)
+    for long in ("2413", "***2"):
+        with pytest.raises(ValueError, match="k <= 3"):
+            densities(g, [PatternSpec.parse("12"), PatternSpec.parse(long)])
+        with pytest.raises(ValueError, match="k <= 3"):
+            density_grid_exact_with_grad(g, PatternSpec.parse(long))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(positive_grids, st.sampled_from([t for t in SPECS if t.k > 1]), st.data())
+def test_gradient_matches_finite_differences(params, tau, data):
     # perturb along marginal-preserving directions E_ij + E_i'j' - E_ij' - E_i'j
-    rng = np.random.default_rng(61)
-    g = random_grid(6, rng)
+    g = positive_grid(params)
+    m = g.m
     eps = 1e-6
-    for lab in ("12", "123", "132", "**2"):
-        tau = PatternSpec.parse(lab)
-        val, grad = density_grid_exact_with_grad(g, tau)
-        assert val == pytest.approx(density_grid_exact(g, tau), abs=1e-15)
-        assert grad.shape == (6, 6)
-        for _ in range(4):
-            i, i2, j, j2 = rng.integers(0, 6, size=4)
-            if i == i2 or j == j2:
-                continue
-            d = np.zeros((6, 6))
-            d[i, j] = d[i2, j2] = 1.0
-            d[i, j2] = d[i2, j] = -1.0
-            plus = density_grid_exact(GridPermuton(g.w + eps * d), tau)
-            minus = density_grid_exact(GridPermuton(g.w - eps * d), tau)
-            fd = (plus - minus) / (2.0 * eps)
-            assert float(np.sum(grad * d)) == pytest.approx(fd, abs=1e-7)
+    val, grad = density_grid_exact_with_grad(g, tau)
+    assert val == pytest.approx(density_grid_exact(g, tau), abs=1e-15)
+    assert grad.shape == (m, m)
+    index = st.integers(0, m - 1)
+    i, j = data.draw(index), data.draw(index)
+    i2 = data.draw(index.filter(lambda x: x != i))
+    j2 = data.draw(index.filter(lambda x: x != j))
+    d = np.zeros((m, m))
+    d[i, j] = d[i2, j2] = 1.0
+    d[i, j2] = d[i2, j] = -1.0
+    plus = density_grid_exact(GridPermuton(g.w + eps * d), tau)
+    minus = density_grid_exact(GridPermuton(g.w - eps * d), tau)
+    fd = (plus - minus) / (2.0 * eps)
+    assert float(np.sum(grad * d)) == pytest.approx(fd, abs=1e-7)
 
 
 def test_mc_density_agrees_with_exact():

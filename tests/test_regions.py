@@ -92,6 +92,12 @@ def test_staircase_validation():
         gamma_ab(0.4, 0.3)  # b may not exceed a/2
 
 
+def test_sweep_rejects_fewer_than_one_trial():
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="at least one trial"):
+            gamma_ab_sweep([0.5], [0.5], trials, 1)
+
+
 def test_sweep_grid_and_corner_values():
     a = np.array([0.0, 1.0])
     frac = np.array([0.0, 1.0])
