@@ -20,12 +20,14 @@ constraints, so |pg| measures first-order optimality.  The step size grows
 geometrically while steps keep improving Phi and is halved on failure
 (backtracking), making the accepted inner objective sequence nondecreasing.
 Density gradients are the analytic prefix-sum adjoints from the exact
-pattern-density evaluation.  Each projected trial point costs one batched
-``densities`` call for all constraint patterns and one entropy evaluation;
-an accepted point keeps both, so the next inner iteration starts from them
-without recomputing anything.  A projection that stalls on a trial step
-ends the run: the last accepted iterate is returned unconverged, and the
-last ``history`` entry records the cause under ``"stop"``.
+pattern-density evaluation.  Each projected trial point costs one
+``density_grid_exact_with_grad`` call per constraint pattern, all on one
+grid, so they share its quadrant channels and terms, and one entropy
+evaluation; an accepted point keeps both, so the next inner iteration
+starts from them without recomputing anything.  A projection that stalls
+on a trial step ends the run: the last accepted iterate is returned
+unconverged, and the last ``history`` entry records the cause under
+``"stop"``.
 
 The converged grids satisfy the Euler-Lagrange equations of the continuum
 problem; ``pde_residual_12`` and ``pde_residual_123`` check them.  For a
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridPermuton, cdf, rebalance_marginals, uniform_grid
-from .patterns import PatternSpec, densities
+from .patterns import PatternSpec, density_grid_exact_with_grad
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,15 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
     patterns = [c.pattern for c in cons.constraints]
     targets = np.array([c.target for c in cons.constraints])
     k = len(patterns)
+
+    def densities_and_grads(wm):
+        g = GridPermuton(wm)
+        vals = np.empty(k)
+        grads = np.empty((k, m, m))
+        for i, pat in enumerate(patterns):
+            vals[i], grads[i] = density_grid_exact_with_grad(g, pat)
+        return vals, grads
+
     lam = np.zeros(k)
     mu = 10.0
     total_inner = 0
@@ -158,7 +169,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
         c = rho - targets
         return H - lam @ c - 0.5 * mu * (c @ c), gH
 
-    rho, grads = densities(GridPermuton(w), patterns, grad=True)
+    rho, grads = densities_and_grads(w)
     for outer in range(max_outer):
         eta = 0.5
         phi, gH = phi_of(w, rho)
@@ -182,7 +193,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
                 except RuntimeError as exc:
                     stop = f"projection stalled: {exc}"
                     break
-                rho_t, grads_t = densities(GridPermuton(trial), patterns, grad=True)
+                rho_t, grads_t = densities_and_grads(trial)
                 phi_t, gH_t = phi_of(trial, rho_t)
                 if phi_t >= phi - 1e-15:
                     w, rho, grads, phi, gH = trial, rho_t, grads_t, phi_t, gH_t

@@ -34,13 +34,16 @@ sum of suffix scans of weighted channel products.  Gradients power the
 constrained entropy optimizer.
 
 ``densities`` evaluates a list of patterns on one grid: it builds the
-channels once (the w-independent parts, cell corners and the constant
-field, once per resolution) and evaluates each distinct quadrant term
-E[P Q], with its gradient, once for all the patterns that use it.  Every
-density is a fixed sum of such terms (the table in ``_exact_terms``), added
-in the same order whatever else is in the list, so a batched value or
-gradient is bitwise the one computed for its pattern alone.  The optimizer
-makes one such call per iterate, the CLI sidecar one per grid.
+channels once and evaluates each distinct quadrant term E[P Q], with its
+gradient, once for all the patterns that use it.  Every density is a fixed
+sum of such terms (the table in ``_exact_terms``), added in the same order
+whatever else is in the list, so a batched value or gradient is bitwise the
+one computed for its pattern alone.  Gradient evaluations keep the channels
+and terms on the grid (read-only w, so they cannot go stale): the optimizer
+asks ``density_grid_exact_with_grad`` for its constraint patterns one at a
+time on each iterate, and they share one channel build.  Plain values keep
+nothing, so a long-lived grid holds no extra arrays; the CLI sidecar gets
+its eight densities from one ``densities`` call.
 
 Monte Carlo densities draw k points per trial (vectorized across trials) and
 report the binomial standard error.  One matcher, ``_matches``, decides
@@ -50,7 +53,6 @@ and for the staircase sweep in ``regions``; it ranks by pairwise comparison.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -189,28 +191,11 @@ def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> int:
     return int(np.count_nonzero(np.all([b == want[a] for a, b in zip(rx, ry)], axis=0)))
 
 
-@functools.lru_cache(maxsize=4)
-def _fixed_fields(m: int):
-    """The w-independent parts of the quadrant fields at resolution m.
-
-    Cell corners xi (a column) and yj (a row), the full field 1 - xi - yj,
-    and the constant field U.  Cached for the last few resolutions used and
-    read-only, since every call at that resolution shares them.
-    """
-    xi = (np.arange(m) / m)[:, None]
-    yj = (np.arange(m) / m)[None, :]
-    b0 = 1.0 - xi - yj
-    U = np.zeros((4, m, m))
-    U[0] = 1.0
-    for a in (xi, yj, b0, U):
-        a.setflags(write=False)
-    return xi, yj, b0, U
-
-
 def _channels(w: np.ndarray):
     """Quadrant coefficient fields (4, m, m) for A, B, C, D (see module doc)."""
     m = w.shape[0]
-    xi, yj, b0, U = _fixed_fields(m)
+    xi = (np.arange(m) / m)[:, None]    # cell corners, a column and a row
+    yj = (np.arange(m) / m)[None, :]
     inv = 1.0 / m
     A = np.zeros((4, m, m))
     g00, gu, gv = A[0], A[1], A[2]
@@ -220,7 +205,7 @@ def _channels(w: np.ndarray):
     gv[1:, :] = col[:-1, :]                           # same column j, i' < i
     A[3] = w
     B, C, D = np.empty((3, 4, m, m))
-    np.add(b0, g00, out=B[0])
+    np.add(1.0 - xi - yj, g00, out=B[0])
     np.subtract(gu, inv, out=B[1])
     np.subtract(gv, inv, out=B[2])
     B[3] = w
@@ -232,6 +217,8 @@ def _channels(w: np.ndarray):
     np.negative(gu, out=D[1])
     np.subtract(inv, gv, out=D[2])
     D[3] = C[3]
+    U = np.zeros((4, m, m))
+    U[0] = 1.0
     return A, B, C, D, U
 
 
@@ -300,9 +287,11 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
     grads is None otherwise.  The quadrant channels are built once, and each
     distinct quadrant term E[P Q] (with its gradient) is evaluated once and
     shared by every pattern that uses it: rho_123 and rho_**3 share E[A B],
-    and the eight patterns of length 2 and 3 need 8 terms, not 12.  Each
-    pattern adds its own terms in a fixed order, so its value and gradient
-    are bitwise those of a call for that pattern alone.
+    and the eight patterns of length 2 and 3 need 8 terms, not 12.  With
+    ``grad=True`` the channels and terms are kept on ``g``, so calls for one
+    pattern at a time on the same grid share them too.  Each pattern adds
+    its own terms in a fixed order, so its value and gradient are bitwise
+    those of a call for that pattern alone on a fresh grid.
     """
     taus = tuple(taus)
     if any(tau.k > 3 for tau in taus):
@@ -311,22 +300,21 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
     # a k = 1 pattern keeps density 1 and gradient 0
     values = np.ones(len(taus))
     grads = np.zeros((len(taus),) + w.shape) if grad else None
-    fields = None
-    terms = {}
+    memo = g._memo if grad else {}
     for i, tau in enumerate(taus):
         if tau.k == 1:
             continue
-        if fields is None:
-            fields = dict(zip("ABCDU", _channels(w)))
         value = 0.0
         for member in tau.members():
             for coeff, pn, qn in _exact_terms(member):
-                term = terms.get((pn, qn))
+                term = memo.get((pn, qn))
                 if term is None:
-                    P, Q = fields[pn], fields[qn]
+                    if "channels" not in memo:
+                        memo["channels"] = dict(zip("ABCDU", _channels(w)))
+                    P, Q = memo["channels"][pn], memo["channels"][qn]
                     J, q = _J(w, P, Q)
                     dJ = _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn]) if grad else None
-                    term = terms[pn, qn] = (J, dJ)
+                    term = memo[pn, qn] = (J, dJ)
                 value += coeff * term[0]
                 if grad:
                     grads[i] += coeff * term[1]

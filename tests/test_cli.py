@@ -1,13 +1,13 @@
 """Command-line behavior: output files, manifests, exit codes, formats.
 
 Runs the entry point in-process (argv -> return code) so file effects and
-exit codes can be asserted hermetically.  Three tests go through a real
+exit codes can be asserted hermetically.  Two tests go through a real
 process: one drives the installed ``permutons`` console script and is
 skipped when no such script is on PATH (``pip install -e .`` provides
-it); one runs the ``[project.scripts]`` entry point declared in
-pyproject.toml the way an installed wrapper does, from the source tree,
-so a broken declaration fails without an install; one runs
-``python -m permutons`` from the source tree.  Contract highlights
+it); the other runs, from the source tree, both the ``[project.scripts]``
+entry point declared in pyproject.toml, the way an installed wrapper
+does, so a broken declaration fails without an install, and
+``python -m permutons``.  Contract highlights
 exercised here: grids emit CSV plus a JSON sidecar with entropy and all
 eight k <= 3 densities; every run with --manifest leaves a record whose
 only run-to-run difference is wall time; validation problems exit 2
@@ -328,37 +328,28 @@ def test_console_script_round_trip(tmp_path):
 
 
 def test_declared_entry_point_round_trip(tmp_path):
+    # the two ways to launch the CLI from the source tree, as the tier-1
+    # suite runs, with no install: the declared entry point, the way an
+    # installed wrapper calls it, and python -m permutons
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["permutons"]
     module, func = target.split(":")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "g.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from %s import %s; sys.exit(%s())"
-         % (module, func, func),
-         "star12", "--rho", "0.3", "--grid", "16", "--out", str(out),
-         "--threads", "1"],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "entropy = " in proc.stdout
-    assert load(out).splitlines()[0] == "m=16"
-
-
-def test_python_dash_m_round_trip(tmp_path):
-    # runs from the source tree, as the tier-1 suite does, with no install
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "g.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "permutons", "star12", "--rho", "0.3", "--grid", "16",
-         "--out", str(out), "--threads", "1"],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "entropy = " in proc.stdout
-    assert load(out).splitlines()[0] == "m=16"
-    proc = subprocess.run([sys.executable, "-m", "permutons", "no-such-command"],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 2
+    launchers = ([sys.executable, "-c", "import sys; from %s import %s; sys.exit(%s())"
+                  % (module, func, func)],
+                 [sys.executable, "-m", "permutons"])
+    for launcher in launchers:
+        out = tmp_path / "g.csv"
+        proc = subprocess.run(
+            launcher + ["star12", "--rho", "0.3", "--grid", "16", "--out", str(out),
+                        "--threads", "1"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "entropy = " in proc.stdout
+        assert load(out).splitlines()[0] == "m=16"
+        out.unlink()
+        proc = subprocess.run(launcher + ["no-such-command"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 2
