@@ -61,10 +61,6 @@ class GridPermuton:
     """
 
     w: np.ndarray
-    # arrays derived from the read-only w, filled on first use: the exact
-    # density gradient keeps its quadrant channels and terms here, so the
-    # constraint patterns of one optimizer iterate share them
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = _as_float_matrix(self.w)

@@ -21,10 +21,9 @@ geometrically while steps keep improving Phi and is halved on failure
 (backtracking), making the accepted inner objective sequence nondecreasing.
 Density gradients are the analytic prefix-sum adjoints from the exact
 pattern-density evaluation.  Each projected trial point costs one
-``density_grid_exact_with_grad`` call per constraint pattern, all on one
-grid, so they share its quadrant channels and terms, and one entropy
-evaluation; an accepted point keeps both, so the next inner iteration
-starts from them without recomputing anything.  A projection that stalls
+``density_grid_exact_with_grad`` call per constraint pattern and one
+entropy evaluation; an accepted point keeps both, so the next inner
+iteration starts from them without recomputing anything.  A projection that stalls
 on a trial step ends the run: the last accepted iterate is returned
 unconverged, and the last ``history`` entry records the cause under
 ``"stop"``.

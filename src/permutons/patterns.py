@@ -38,12 +38,8 @@ channels once and evaluates each distinct quadrant term E[P Q], with its
 gradient, once for all the patterns that use it.  Every density is a fixed
 sum of such terms (the table in ``_exact_terms``), added in the same order
 whatever else is in the list, so a batched value or gradient is bitwise the
-one computed for its pattern alone.  Gradient evaluations keep the channels
-and terms on the grid (read-only w, so they cannot go stale): the optimizer
-asks ``density_grid_exact_with_grad`` for its constraint patterns one at a
-time on each iterate, and they share one channel build.  Plain values keep
-nothing, so a long-lived grid holds no extra arrays; the CLI sidecar gets
-its eight densities from one ``densities`` call.
+one computed for its pattern alone.  The CLI sidecar gets its eight
+densities from one ``densities`` call.
 
 Monte Carlo densities draw k points per trial (vectorized across trials) and
 report the binomial standard error.  One matcher, ``_matches``, decides
@@ -287,11 +283,9 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
     grads is None otherwise.  The quadrant channels are built once, and each
     distinct quadrant term E[P Q] (with its gradient) is evaluated once and
     shared by every pattern that uses it: rho_123 and rho_**3 share E[A B],
-    and the eight patterns of length 2 and 3 need 8 terms, not 12.  With
-    ``grad=True`` the channels and terms are kept on ``g``, so calls for one
-    pattern at a time on the same grid share them too.  Each pattern adds
-    its own terms in a fixed order, so its value and gradient are bitwise
-    those of a call for that pattern alone on a fresh grid.
+    and the eight patterns of length 2 and 3 need 8 terms, not 12.  Each
+    pattern adds its own terms in a fixed order, so its value and gradient
+    are bitwise those of a call for that pattern alone.
     """
     return _densities(g, tuple(taus), grad)
 
@@ -305,21 +299,22 @@ def _densities(g: GridPermuton, taus: tuple, grad: bool):
     # a k = 1 pattern keeps density 1 and gradient 0
     values = np.ones(len(taus))
     grads = np.zeros((len(taus),) + w.shape) if grad else None
-    memo = g._memo if grad else {}
+    fields = None
+    terms = {}
     for i, tau in enumerate(taus):
         if tau.k == 1:
             continue
+        if fields is None:
+            fields = dict(zip("ABCDU", _channels(w)))
         value = 0.0
         for member in tau.members():
             for coeff, pn, qn in _exact_terms(member):
-                term = memo.get((pn, qn))
+                term = terms.get((pn, qn))
                 if term is None:
-                    if "channels" not in memo:
-                        memo["channels"] = dict(zip("ABCDU", _channels(w)))
-                    P, Q = memo["channels"][pn], memo["channels"][qn]
+                    P, Q = fields[pn], fields[qn]
                     J, q = _J(w, P, Q)
                     dJ = _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn]) if grad else None
-                    term = memo[pn, qn] = (J, dJ)
+                    term = terms[pn, qn] = (J, dJ)
                 value += coeff * term[0]
                 if grad:
                     grads[i] += coeff * term[1]

@@ -255,8 +255,7 @@ def positive_grid(params):
        | st.permutations([PatternSpec.parse(t) for t in ("12", "123", "213", "**3")]))
 def test_batched_densities_equal_single_pattern_calls(params, taus):
     # the batch shares channels and quadrant terms across patterns, yet every
-    # value and gradient is bitwise that of the pattern's own call; each
-    # single call gets a fresh grid, since gradient terms are kept on the grid
+    # value and gradient is bitwise that of the pattern's own call
     g = positive_grid(params)
     values, grads = densities(g, taus, grad=True)
     plain, none = densities(g, taus)
@@ -264,38 +263,9 @@ def test_batched_densities_equal_single_pattern_calls(params, taus):
     assert values.shape == (len(taus),) and grads.shape == (len(taus), g.m, g.m)
     assert np.array_equal(values, plain)
     for tau, value, grad in zip(taus, values, grads):
-        single, single_grad = density_grid_exact_with_grad(GridPermuton(g.w.copy()), tau)
-        assert value == single == density_grid_exact(GridPermuton(g.w.copy()), tau)
+        single, single_grad = density_grid_exact_with_grad(g, tau)
+        assert value == single == density_grid_exact(g, tau)
         assert np.array_equal(grad, single_grad)
-
-
-def test_gradient_calls_on_one_grid_share_one_channel_build(monkeypatch):
-    # the optimizer asks for its constraint gradients one pattern at a time;
-    # on one grid they build the channels once and each E[P Q] once, and
-    # match calls on fresh grids bitwise
-    import permutons.patterns as pat
-
-    builds = []
-
-    def counted(w):
-        builds.append(w.shape)
-        return channels(w)
-
-    channels = pat._channels
-    monkeypatch.setattr(pat, "_channels", counted)
-    g = positive_grid((9, 5, 3.0))
-    taus = [PatternSpec.parse(t) for t in ("12", "123", "213", "**3", "123")]
-    shared = [density_grid_exact_with_grad(g, tau) for tau in taus]
-    assert builds == [(9, 9)]
-    assert set(g._memo) == {"channels", ("A", "U"), ("A", "B"), ("A", "A")}
-    for tau, (value, grad) in zip(taus, shared):
-        fresh, fresh_grad = density_grid_exact_with_grad(GridPermuton(g.w.copy()), tau)
-        assert value == fresh and np.array_equal(grad, fresh_grad)
-    # plain values keep nothing on the grid
-    h = positive_grid((9, 5, 3.0))
-    density_grid_exact(h, taus[1])
-    densities(h, taus)
-    assert h._memo == {}
 
 
 def test_batched_sidecar_densities_at_m256():
