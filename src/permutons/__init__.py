@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # core
     "GridPermuton": "core",
-    "CDFField": "core",
     "SegmentPermuton": "core",
     "Permutation": "core",
     "MARGINAL_TOL": "core",
@@ -81,10 +80,7 @@ _EXPORTS = {
     "star12_density": "starmodel",
     "star12_grid": "starmodel",
     "mahonian_log_gf": "starmodel",
-    "free_energy": "starmodel",
-    "grad_free_energy": "starmodel",
-    "hessian_free_energy": "starmodel",
-    "star_densities": "starmodel",
+    "evaluate_star": "starmodel",
     "solve_star": "starmodel",
     # optimizer
     "Constraint": "optimizer",

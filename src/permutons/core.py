@@ -42,6 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MARGINAL_TOL = 1e-12
+# rebalance_marginals stops once every marginal is within _REBALANCE_TOL of
+# 1/m, and raises after _REBALANCE_MAX_ITER sweeps.
+_REBALANCE_TOL = 1e-13
+_REBALANCE_MAX_ITER = 100_000
 
 
 def _as_float_matrix(w) -> np.ndarray:
@@ -89,22 +93,6 @@ class GridPermuton:
     def density(self) -> np.ndarray:
         """Cell-average density values m^2 * w (the step-function density)."""
         return self.w * float(self.m) ** 2
-
-
-@dataclass(frozen=True)
-class CDFField:
-    """Corner-sampled CDF G[i, j] = mass of [0, i/m] x [0, j/m], shape (m+1, m+1)."""
-
-    G: np.ndarray
-
-    def __post_init__(self):
-        G = _as_float_matrix(self.G)
-        G.setflags(write=False)
-        object.__setattr__(self, "G", G)
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -215,12 +203,14 @@ def grid_from_permutation(pi: Permutation, m: int | None = None) -> GridPermuton
     return GridPermuton(w)
 
 
-def cdf(g: GridPermuton) -> CDFField:
-    """Corner CDF of a grid permuton: G[i, j] = sum of w over cells < (i, j)."""
+def cdf(g: GridPermuton) -> np.ndarray:
+    """Corner CDF of a grid permuton, read-only, shape (m+1, m+1):
+    G[i, j] = mass of [0, i/m] x [0, j/m] = sum of w over cells < (i, j)."""
     m = g.m
     G = np.zeros((m + 1, m + 1))
     G[1:, 1:] = np.cumsum(np.cumsum(g.w, axis=0), axis=1)
-    return CDFField(G)
+    G.setflags(write=False)
+    return G
 
 
 def rect_distance(g1: GridPermuton, g2: GridPermuton) -> float:
@@ -258,7 +248,7 @@ def cdf_linf_distance(g1: GridPermuton, g2: GridPermuton) -> float:
     """Max over grid corners of |G1 - G2|; satisfies linf <= rect <= 4 linf."""
     if g1.m != g2.m:
         raise ValueError(f"resolution mismatch: {g1.m} vs {g2.m} (coarsen first)")
-    return float(np.abs(cdf(g1).G - cdf(g2).G).max())
+    return float(np.abs(cdf(g1) - cdf(g2)).max())
 
 
 def coarsen(g: GridPermuton, m2: int) -> GridPermuton:
@@ -351,22 +341,24 @@ def gamma_ab(a: float, b: float) -> SegmentPermuton:
     return SegmentPermuton(seg)
 
 
-def rebalance_marginals(w: np.ndarray, tol: float = 1e-13,
-                        max_iter: int = 100_000) -> np.ndarray:
+def rebalance_marginals(w: np.ndarray) -> np.ndarray:
     """Alternating row/column rescaling onto the uniform-marginal polytope.
 
     Sinkhorn iteration: scale every row sum to 1/m, then every column sum.
     For strictly positive w this converges geometrically to the unique
     doubly-stochastic-scaled matrix diag(u) w diag(v).  Zero rows or columns
-    cannot be repaired and raise.
+    cannot be repaired and raise ValueError, as do NaN or infinite entries.
     """
     w = np.array(w, dtype=np.float64)
     m = w.shape[0]
     target = 1.0 / m
     rows = w.sum(axis=1)
+    # a NaN or +-inf entry makes its row sum non-finite (inf - inf is NaN)
+    if not np.isfinite(rows).all():
+        raise ValueError("cannot rebalance: non-finite mass")
     # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
     # is; min would return NaN and miss a zero sum next to a NaN one
-    for _ in range(max_iter):
+    for _ in range(_REBALANCE_MAX_ITER):
         if np.fmin.reduce(rows) <= 0:
             raise ValueError("cannot rebalance: zero row mass")
         w *= (target / rows)[:, None]
@@ -376,10 +368,10 @@ def rebalance_marginals(w: np.ndarray, tol: float = 1e-13,
         w *= (target / cols)[None, :]
         rows = w.sum(axis=1)
         dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
-        if dev <= tol:
+        if dev <= _REBALANCE_TOL:
             return w
-    raise RuntimeError(f"marginal rebalancing did not reach {tol:.1e} "
-                       f"in {max_iter} iterations (last deviation {dev:.3e})")
+    raise RuntimeError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
+                       f"in {_REBALANCE_MAX_ITER} iterations (last deviation {dev:.3e})")
 
 
 def grid_to_csv(g: GridPermuton) -> str:

@@ -92,5 +92,5 @@ def heat_flow(g: GridPermuton, spec: HeatFlowSpec) -> GridPermuton:
     target = 1.0 / m
     dev = max(abs(w2.sum(axis=1) - target).max(), abs(w2.sum(axis=0) - target).max())
     if dev > MARGINAL_TOL / 10:
-        w2 = rebalance_marginals(w2, tol=MARGINAL_TOL / 10)
+        w2 = rebalance_marginals(w2)
     return GridPermuton(w2)

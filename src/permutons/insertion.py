@@ -129,7 +129,7 @@ def insertion_from_permuton(g: GridPermuton) -> InsertionFamily:
     """
     m = g.m
     w = g.w
-    Gc = cdf(g).G
+    Gc = cdf(g)
     cols = []
     xs = column_x(m)
     for i in range(m):
@@ -254,7 +254,7 @@ def reconstruct(fam: InsertionFamily, m_out: int,
     target = 1.0 / m_out
     correction = float(max(abs(w.sum(axis=1) / target - 1.0).max(),
                            abs(w.sum(axis=0) / target - 1.0).max()))
-    w = rebalance_marginals(w, tol=1e-13)
+    w = rebalance_marginals(w)
     return ReconstructionResult(GridPermuton(w), correction)
 
 

@@ -189,7 +189,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
             while eta >= 1e-9:
                 try:
                     trial = rebalance_marginals(w * np.exp(eta * pg))
-                except RuntimeError as exc:
+                except (RuntimeError, ValueError) as exc:
                     stop = f"projection stalled: {exc}"
                     break
                 rho_t, grads_t = densities_and_grads(trial)
@@ -257,7 +257,7 @@ def pde_residual_123(g: GridPermuton) -> tuple[float, float]:
     m = g.m
     if m < 8:
         raise ValueError("need m >= 8 for interior stencils")
-    G = cdf(g).G
+    G = cdf(g)
     e = np.linspace(0.0, 1.0, m + 1)
     K = 2.0 * G - e[:, None] - e[None, :] + 1.0
     # first cross stencil on corners [1, m-1]

@@ -87,17 +87,18 @@ def region_star23_boundary(t_samples) -> tuple[RegionCurve, RegionCurve]:
     return lower, upper
 
 
-def dimple(tol: float = 1e-12) -> tuple[float, float]:
+def dimple() -> tuple[float, float]:
     """The crossing (r, r) of F1 and F2: solves s^3 = (1-s)^3 + 3s(1-s)^2.
 
     Returns (s, r) with r = s^3.  The defining function is strictly
-    increasing on [0, 1] with a sign change, so bisection is safe.
+    increasing on [0, 1] with a sign change, so bisection to a bracket of
+    width 1e-12 is safe.
     """
     def h(s):
         return s ** 3 - ((1 - s) ** 3 + 3 * s * (1 - s) ** 2)
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if h(mid) < 0:
             lo = mid

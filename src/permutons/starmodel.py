@@ -66,6 +66,10 @@ from .core import GridPermuton, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
+# Final bracket width of the star12_r_from_rho bisection.
+_BISECT_TOL = 1e-12
+# Step halvings a damped Newton step may take before solve_star gives up.
+_MAX_HALVINGS = 30
 
 
 class ConvergenceError(RuntimeError):
@@ -106,7 +110,7 @@ def star12_entropy(r: float) -> float:
             - 2 * math.log(one_minus) + math.log(one_minus / (-r)) + 2)
 
 
-def star12_r_from_rho(rho: float, tol: float = 1e-12) -> float:
+def star12_r_from_rho(rho: float) -> float:
     """Invert the strictly decreasing rho(r) by bisection."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (0, 1)")
@@ -121,7 +125,7 @@ def star12_r_from_rho(rho: float, tol: float = 1e-12) -> float:
         hi *= 2
         if hi > 1e4:
             raise ValueError(f"rho = {rho} too extreme to bracket")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if star12_rho(mid) > rho:
             lo = mid
@@ -248,17 +252,14 @@ class StarModel:
         object.__setattr__(self, "terms", terms)
 
     @property
-    def k_factorials(self) -> np.ndarray:
-        return np.array([math.factorial(r + s + 1) for r, s, _ in self.terms], float)
-
-    @property
     def alpha(self) -> np.ndarray:
         return np.array([a for _, _, a in self.terms], float)
 
 
 @dataclass(frozen=True)
 class StarSolution:
-    """Converged coefficients with densities, free energy, and Legendre entropy."""
+    """Coefficients alpha with densities, free energy, Legendre entropy and
+    Hessian: solved by solve_star, or given to evaluate_star (0 iterations)."""
 
     terms: tuple[tuple[int, int], ...]
     alpha: np.ndarray
@@ -319,28 +320,31 @@ def _fe_checked(exponents, alpha, nquad):
     return F2, g2, h2
 
 
-def free_energy(model: StarModel) -> float:
+def _k_factorials(exps) -> np.ndarray:
+    return np.array([math.factorial(r + s + 1) for r, s in exps], float)
+
+
+def _solution(exps, alpha, parts, newton_iterations: int) -> StarSolution:
+    """Assemble (F, grad F, Hessian) at alpha into densities rho = k! grad F
+    and the Legendre entropy H = F - alpha . grad F."""
+    F, grad, hess = parts
+    return StarSolution(tuple(exps), alpha, _k_factorials(exps) * grad, F,
+                        F - float(alpha @ grad), hess, newton_iterations)
+
+
+def evaluate_star(model: StarModel) -> StarSolution:
+    """Free energy, densities, entropy and Hessian at the model's alpha.
+
+    One evaluation at quad and 2*quad nodes (ConvergenceError if the two
+    disagree on F); newton_iterations is 0.
+    """
     exps = [(r, s) for r, s, _ in model.terms]
-    return _fe_checked(exps, model.alpha, model.quad)[0]
-
-
-def grad_free_energy(model: StarModel) -> np.ndarray:
-    exps = [(r, s) for r, s, _ in model.terms]
-    return _fe_checked(exps, model.alpha, model.quad)[1]
-
-
-def hessian_free_energy(model: StarModel) -> np.ndarray:
-    exps = [(r, s) for r, s, _ in model.terms]
-    return _fe_checked(exps, model.alpha, model.quad)[2]
-
-
-def star_densities(model: StarModel) -> np.ndarray:
-    """Pattern-class densities rho_i = k_i! dF/dalpha_i."""
-    return model.k_factorials * grad_free_energy(model)
+    alpha = model.alpha
+    return _solution(exps, alpha, _fe_checked(exps, alpha, model.quad), 0)
 
 
 def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
-               max_iter: int = 100, max_halvings: int = 30) -> StarSolution:
+               max_iter: int = 100) -> StarSolution:
     """Newton inversion of grad F(alpha) = targets / k! with step halving.
 
     ``exponents`` is a sequence of (r_i, s_i); ``targets`` the desired star
@@ -359,10 +363,9 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
         raise ValueError("one target density per exponent pair")
     if np.any(targets <= 0.0) or np.any(targets >= 1.0):
         raise ValueError("target densities must lie strictly inside (0, 1)")
-    kfac = np.array([math.factorial(r + s + 1) for r, s in exps], float)
-    scaled = targets / kfac
+    scaled = targets / _k_factorials(exps)
     alpha = np.zeros(len(exps))
-    F, grad, hess = _fe_parts(exps, alpha, quad)
+    _, grad, hess = _fe_parts(exps, alpha, quad)
     res = grad - scaled
     rnorm = float(np.abs(res).max())
     iters = 0
@@ -381,12 +384,12 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
                 "targets likely on or outside the feasible region",
                 rnorm, alpha) from None
         scale = 1.0
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             trial = alpha - scale * step
-            Ft, gt, ht = _fe_parts(exps, trial, quad)
+            _, gt, ht = _fe_parts(exps, trial, quad)
             rt = float(np.abs(gt - scaled).max())
             if rt < rnorm:
-                alpha, F, grad, hess = trial, Ft, gt, ht
+                alpha, grad, hess = trial, gt, ht
                 res = gt - scaled
                 rnorm = rt
                 break
@@ -398,11 +401,10 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
                 rnorm, alpha)
         iters += 1
     # confirm quadrature accuracy at the solution
-    F, grad, hess = _fe_checked(exps, alpha, quad)
-    refined = float(np.abs(grad - scaled).max())
+    parts = _fe_checked(exps, alpha, quad)
+    refined = float(np.abs(parts[1] - scaled).max())
     if refined > tol:
         raise ConvergenceError(
             f"free-energy quadrature under-resolved at quad = {quad} (residual "
             f"{refined:.3e} at 2*quad nodes, tol {tol:.1e}); raise quad", refined, alpha)
-    entropy = F - float(alpha @ grad)
-    return StarSolution(tuple(exps), alpha, kfac * grad, F, entropy, hess, iters)
+    return _solution(exps, alpha, parts, iters)

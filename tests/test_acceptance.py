@@ -38,12 +38,10 @@ from permutons import (
     density_mc,
     dimple,
     entropy_grid,
-    free_energy,
+    evaluate_star,
     gamma_ab,
-    grad_free_energy,
     grid_from_permutation,
     heat_flow,
-    hessian_free_energy,
     insertion_entropy,
     ldp_estimate,
     maximize_entropy,
@@ -151,19 +149,19 @@ def test_criterion_5_star_solver_identity_checks():
     rng = np.random.default_rng(505)
     spd_ok = True
     for _ in range(100):
-        hess = hessian_free_energy(_star23_model(rng.uniform(-6.0, 6.0, 2)))
+        hess = evaluate_star(_star23_model(rng.uniform(-6.0, 6.0, 2))).hessian
         spd_ok = (spd_ok and np.abs(hess - hess.T).max() <= 1e-12
                   and np.linalg.eigvalsh(hess).min() > 0.0)
     grad_worst = 0.0
     for _ in range(4):
         al = rng.uniform(-4.0, 4.0, size=2)
-        grad = grad_free_energy(_star23_model(al))
+        grad = evaluate_star(_star23_model(al)).densities / (2.0, 6.0)
         for i in range(2):
             hi, lo = al.copy(), al.copy()
             hi[i] += 1e-6
             lo[i] -= 1e-6
-            fd = (free_energy(_star23_model(hi))
-                  - free_energy(_star23_model(lo))) / 2e-6
+            fd = (evaluate_star(_star23_model(hi)).free_energy
+                  - evaluate_star(_star23_model(lo)).free_energy) / 2e-6
             grad_worst = max(grad_worst, abs(grad[i] - fd))
     _verdict(5, 30.0, zero_gap <= 1e-8 and spd_ok and grad_worst <= 1e-6,
              "uniform targets give |alpha|, |entropy| <= %.1e (tol 1e-8); "

@@ -8,6 +8,8 @@ preserved bit-for-bit up to summation error; samplers are checked against
 the uniform law with seeded generators and 4-sigma bands.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -106,11 +108,12 @@ def test_permutation_grid_coarse_resolution():
 
 def test_cdf_nodes():
     g = uniform_grid(4)
-    F = cdf(g)
-    assert F.G.shape == (5, 5)
-    assert F.G[0, 0] == 0.0
-    assert F.G[-1, -1] == pytest.approx(1.0, abs=1e-15)
-    assert F.G[2, 2] == pytest.approx(0.25, abs=1e-15)
+    G = cdf(g)
+    assert G.shape == (5, 5)
+    assert G[0, 0] == 0.0
+    assert G[-1, -1] == pytest.approx(1.0, abs=1e-15)
+    assert G[2, 2] == pytest.approx(0.25, abs=1e-15)
+    assert not G.flags.writeable
 
 
 def test_cdf_linf_identity_vs_reversal():
@@ -148,7 +151,7 @@ def test_coarsen_sums_blocks():
     assert c.w[0, 0] == pytest.approx(g.w[:2, :2].sum(), abs=1e-15)
     assert c.w.sum() == pytest.approx(1.0, abs=1e-12)
     # block sums preserve every CDF node the coarse lattice shares with g
-    assert np.abs(cdf(c).G - cdf(g).G[::2, ::2]).max() <= 1e-13
+    assert np.abs(cdf(c) - cdf(g)[::2, ::2]).max() <= 1e-13
     with pytest.raises(ValueError):
         coarsen(g, 3)
     with pytest.raises(ValueError):
@@ -165,6 +168,14 @@ def test_rebalance_marginals_projects():
     # already-balanced input is a fixed point
     again = rebalance_marginals(out)
     assert np.abs(again - out).max() <= 1e-14
+    # a NaN or infinite cell is refused before the first sweep
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.full((8, 8), 1.0 / 64)
+        w[3, 5] = bad
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="non-finite"):
+            rebalance_marginals(w)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_segment_permuton_marginals():

@@ -118,9 +118,13 @@ def test_unreachable_target_reports_failure():
     assert len(res.history) == 6
 
 
-def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch):
-    # a Sinkhorn stall inside a trial step ends the run unconverged, with
-    # the cause recorded, instead of escaping as a RuntimeError
+@pytest.mark.parametrize("exc", [
+    RuntimeError("marginal rebalancing did not reach 1.0e-13"),
+    ValueError("cannot rebalance: non-finite mass"),
+], ids=["RuntimeError", "ValueError"])
+def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch, exc):
+    # a Sinkhorn stall or a refused input inside a trial step ends the run
+    # unconverged, with the cause recorded, instead of escaping
     import permutons.optimizer as opt
 
     real, calls, projected = opt.rebalance_marginals, [], []
@@ -128,7 +132,7 @@ def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch):
     def stalls_on_seventh_call(w, *args, **kwargs):
         calls.append(1)
         if len(calls) == 7:
-            raise RuntimeError("marginal rebalancing did not reach 1.0e-13")
+            raise exc
         projected.append(real(w, *args, **kwargs))
         return projected[-1]
 
@@ -136,8 +140,7 @@ def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch):
     res = maximize_entropy(ConstraintSet.of(("123", 0.3)), 16)
     assert not res.converged
     assert len(calls) == 7 and len(res.history) == 1
-    assert res.history[-1]["stop"] == (
-        "projection stalled: marginal rebalancing did not reach 1.0e-13")
+    assert res.history[-1]["stop"] == f"projection stalled: {exc}"
     assert res.iterations == res.history[-1]["inner"]
     # the returned grid is a projected trial, and the one whose merit was
     # accepted last (first outer pass: lambda = 0, mu = 10)

@@ -20,13 +20,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     ConvergenceError,
     StarModel,
-    free_energy,
-    grad_free_energy,
-    hessian_free_energy,
+    evaluate_star,
     mahonian_log_gf,
     region_star23_boundary,
     solve_star,
@@ -36,7 +36,6 @@ from permutons import (
     star12_grid,
     star12_r_from_rho,
     star12_rho,
-    star_densities,
     uniform_grid,
 )
 
@@ -163,15 +162,18 @@ def test_mahonian_total_and_palindrome():
         assert np.abs(lgf - lgf[::-1]).max() <= 1e-10
 
 
+def star23_model(alpha):
+    return StarModel(((1, 0, alpha[0]), (2, 0, alpha[1])))
+
+
 def test_free_energy_zero_and_uniform_gradient():
-    model = StarModel(((1, 0, 0.0), (2, 0, 0.0)))
-    assert free_energy(model) == pytest.approx(0.0, abs=1e-14)
-    grad = grad_free_energy(model)
-    assert grad[0] == pytest.approx(1.0 / (2 * math.factorial(2)), abs=1e-12)
-    assert grad[1] == pytest.approx(1.0 / (3 * math.factorial(3)), abs=1e-12)
-    dens = star_densities(model)
-    assert dens[0] == pytest.approx(0.5, abs=1e-12)
-    assert dens[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    ev = evaluate_star(star23_model((0.0, 0.0)))
+    assert ev.free_energy == pytest.approx(0.0, abs=1e-14)
+    assert ev.entropy == pytest.approx(0.0, abs=1e-14)
+    assert ev.newton_iterations == 0
+    # densities are k! times the gradient: 1/(2 * 2!) and 1/(3 * 3!)
+    assert ev.densities[0] == pytest.approx(0.5, abs=1e-12)
+    assert ev.densities[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_free_energy_matches_one_parameter_model():
@@ -179,39 +181,48 @@ def test_free_energy_matches_one_parameter_model():
     # the pattern, while the closed-form rate measures the opposite tilt,
     # so the two parameters are negatives of each other
     for a in (-3.0, 1.2):
-        model = StarModel(((1, 0, a),))
-        rho = float(star_densities(model)[0])
-        assert rho == pytest.approx(star12_rho(-a), abs=1e-10)
-        F = free_energy(model)
-        H = F - a * float(grad_free_energy(model)[0])
-        assert H == pytest.approx(star12_entropy(a), abs=1e-10)
+        ev = evaluate_star(StarModel(((1, 0, a),)))
+        assert ev.densities[0] == pytest.approx(star12_rho(-a), abs=1e-10)
+        assert ev.entropy == pytest.approx(star12_entropy(a), abs=1e-10)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(77)
+    kfac = np.array([2.0, 6.0])
     for _ in range(4):
         alpha = rng.uniform(-4.0, 4.0, size=2)
-        grad = grad_free_energy(StarModel(((1, 0, alpha[0]),
-                                           (2, 0, alpha[1]))))
+        grad = evaluate_star(star23_model(alpha)).densities / kfac
         eps = 1e-6
         for i in range(2):
             a_hi, a_lo = alpha.copy(), alpha.copy()
             a_hi[i] += eps
             a_lo[i] -= eps
-            fd = (free_energy(StarModel(((1, 0, a_hi[0]), (2, 0, a_hi[1]))))
-                  - free_energy(StarModel(((1, 0, a_lo[0]),
-                                           (2, 0, a_lo[1]))))) / (2 * eps)
+            fd = (evaluate_star(star23_model(a_hi)).free_energy
+                  - evaluate_star(star23_model(a_lo)).free_energy) / (2 * eps)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
 def test_hessian_positive_definite():
     rng = np.random.default_rng(83)
     for _ in range(20):
-        alpha = rng.uniform(-6.0, 6.0, size=2)
-        hess = hessian_free_energy(StarModel(((1, 0, alpha[0]),
-                                              (2, 0, alpha[1]))))
+        hess = evaluate_star(star23_model(rng.uniform(-6.0, 6.0, size=2))).hessian
         assert np.abs(hess - hess.T).max() <= 1e-12
         assert np.linalg.eigvalsh(hess).min() > 0.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(exps=st.sampled_from((((1, 0), (2, 0)), ((0, 1),), ((1, 1), (0, 2)))),
+       data=st.data())
+def test_evaluation_round_trips_through_solver(exps, data):
+    # evaluating at alpha and solving for the densities it reports must
+    # give alpha back, and the entropy is the Legendre dual of F
+    alpha = np.array([data.draw(st.floats(-4.0, 4.0)) for _ in exps])
+    ev = evaluate_star(StarModel(tuple((r, s, a) for (r, s), a in zip(exps, alpha))))
+    kfac = np.array([math.factorial(r + s + 1) for r, s in exps], float)
+    assert ev.entropy == pytest.approx(
+        ev.free_energy - float(alpha @ (ev.densities / kfac)), abs=1e-12)
+    sol = solve_star(exps, ev.densities)
+    assert np.abs(sol.alpha - alpha).max() <= 1e-6
 
 
 def test_solver_at_uniform_targets():
@@ -228,10 +239,10 @@ def test_solver_interior_target():
     assert sol.alpha[1] == pytest.approx(57.832559905281009, abs=1e-6)
     assert sol.entropy == pytest.approx(-0.85295297934253811, abs=1e-9)
     assert sol.free_energy == pytest.approx(-1.2008191746626247, abs=1e-9)
-    assert sol.entropy == pytest.approx(
-        sol.free_energy - float(np.dot(sol.alpha, grad_free_energy(
-            StarModel(tuple((r, s, a) for (r, s), a
-                            in zip(STAR23, sol.alpha)))))), abs=1e-9)
+    ev = evaluate_star(star23_model(sol.alpha))
+    assert ev.free_energy == sol.free_energy
+    assert ev.entropy == sol.entropy
+    assert np.array_equal(ev.densities, sol.densities)
     assert np.linalg.eigvalsh(sol.hessian).min() > 0.0
 
 
