@@ -70,7 +70,6 @@ _EXPORTS = {
     "family_from_csv": "insertion",
     # starmodel
     "ConvergenceError": "starmodel",
-    "Star12Params": "starmodel",
     "StarModel": "starmodel",
     "StarSolution": "starmodel",
     "star12_rho": "starmodel",

@@ -168,20 +168,25 @@ def _deliver(args, text: str) -> None:
 
 def _cmd_star12(args, scalars) -> int:
     from .entropy import entropy_grid
-    from .starmodel import Star12Params, star12_entropy, star12_grid
+    from .starmodel import (star12_entropy, star12_grid, star12_r_from_rho,
+                            star12_rho)
 
     if (args.r is None) == (args.rho is None):
         raise ValueError("specify exactly one of --r and --rho")
-    params = (Star12Params.from_r(args.r) if args.r is not None
-              else Star12Params.from_rho(args.rho))
-    g = star12_grid(params.r, args.grid)
+    if args.r is not None:
+        r, rho = args.r, star12_rho(args.r)
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"rate r = {r:g} gives rho = {rho:g}, "
+                             "not strictly inside (0, 1)")
+    else:
+        r, rho = star12_r_from_rho(args.rho), args.rho
+    g = star12_grid(r, args.grid)
     ent = entropy_grid(g)
-    scalars.update({"r": params.r, "rho": params.rho, "m": args.grid,
-                    "entropy": ent,
-                    "entropy_closed_form": star12_entropy(params.r)})
+    scalars.update({"r": r, "rho": rho, "m": args.grid, "entropy": ent,
+                    "entropy_closed_form": star12_entropy(r)})
     _emit_grid(args, g)
-    print(f"r = {_f(params.r)}")
-    print(f"rho = {_f(params.rho)}")
+    print(f"r = {_f(r)}")
+    print(f"rho = {_f(rho)}")
     print(f"entropy = {_f(ent)}")
     return 0
 
@@ -229,7 +234,6 @@ def _cmd_solve_star(args, scalars) -> int:
 
 
 def _cmd_optimize(args, scalars) -> int:
-    from .entropy import entropy_grid
     from .optimizer import ConstraintSet, maximize_entropy
 
     pairs = []
@@ -246,7 +250,7 @@ def _cmd_optimize(args, scalars) -> int:
     labels = [c.pattern.label for c in cons.constraints]
     scalars.update({
         "converged": bool(res.converged),
-        "entropy": entropy_grid(res.grid),
+        "entropy": res.entropy,
         "achieved": {lbl: float(v) for lbl, v in zip(labels, res.achieved)},
         "max_residual": float(max(abs(v) for v in res.residuals)),
         "multipliers": res.multipliers.tolist(),
@@ -537,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=None,
                     help="output resolution for reconstruction")
     sp.add_argument("--step", type=float, default=1.0 / 512,
-                    help="ODE step for reconstruction (default 1/512)")
+                    help="largest RK4 step of the time grid shared by all "
+                         "columns, which holds every column midpoint "
+                         "(default 1/512)")
     sp.add_argument("--pgm", default=None, help="PGM heatmap path")
     sp.set_defaults(handler=_cmd_insertion)
 

@@ -29,13 +29,16 @@ carries density values on max(8, ceil(x * m_y)) uniform y-cells over [0, x]
 
 Reconstruction discretizes the flow carefully, because naive point seeding
 aliases badly.  Per column the measure is cut into equal-mass chunks whose
-boundary quantiles are transported by fixed-step RK4; the field F
-interpolates between columns in the quantile domain (linear in x on a common
-quantile grid, with linear extrapolation beyond the first/last column
-midpoints), which is exact for x-independent families; transported chunk
-boundaries are binned through a monotone cubic CDF fit so smooth conditional
-laws do not leak mass into extreme bins.  The residual marginal defect is
-removed by row/column rescaling and reported as the rebalance correction.
+boundary quantiles are transported by RK4.  All columns advance together on
+one time grid that holds every column midpoint, and each column joins the
+flow at its own midpoint; the grid spacing is the largest that does not
+exceed the requested step.  The field F interpolates between columns in the
+quantile domain (linear in x on a common quantile grid, with linear
+extrapolation beyond the first/last column midpoints), which is exact for
+x-independent families; transported chunk boundaries are binned through a
+monotone cubic CDF fit so smooth conditional laws do not leak mass into
+extreme bins.  The residual marginal defect is removed by row/column
+rescaling and reported as the rebalance correction.
 """
 
 from __future__ import annotations
@@ -167,37 +170,38 @@ class ReconstructionResult:
     correction: float
 
 
-def _column_cdf(fam: InsertionFamily, c: int):
-    """Knot CDF of column c: (y knots, strictly increasing CDF values)."""
-    x = column_x(fam.mt)[c]
-    f = fam.cols[c]
-    ny = f.size
-    yk = np.linspace(0.0, x, ny + 1)
-    vals = np.concatenate([[0.0], np.cumsum(f) * (x / ny)])
-    vals = np.maximum.accumulate(vals)
-    vals /= vals[-1]
-    # strictify flats so inverse interpolation is well defined
-    vals = (vals + np.linspace(0.0, 1e-12, vals.size)) / (1.0 + 1e-12)
-    return yk, vals
-
-
 def reconstruct(fam: InsertionFamily, m_out: int,
                 step: float = 1.0 / 512) -> ReconstructionResult:
-    """Flow the insertion family forward and bin into an m_out grid."""
+    """Flow the insertion family forward and bin into an m_out grid.
+
+    ``step`` is the largest RK4 step of the shared time grid (module doc).
+    """
     if m_out < 1:
         raise ValueError("m_out must be >= 1")
     if not 0 < step <= 0.5:
         raise ValueError("step must lie in (0, 1/2]")
     mt = fam.mt
+    if mt < 2:
+        raise ValueError("reconstruction interpolates between columns: needs mt >= 2")
     xm = column_x(mt)
     nq = 513
     qg = np.linspace(0.0, 1.0, nq)
     Qs = np.empty((mt, nq))
-    col_knots = []
-    for c in range(mt):
-        yk, vals = _column_cdf(fam, c)
-        col_knots.append((yk, vals))
+    # chunk-boundary quantiles per column; each row of X is padded with its
+    # top boundary, which then moves exactly like that boundary does
+    chunks = [np.linspace(0.0, 1.0, max(8 * m_out, f.size) + 1) for f in fam.cols]
+    X = np.empty((mt, max(qc.size for qc in chunks)))
+    for c, (x, f, qc) in enumerate(zip(xm, fam.cols, chunks)):
+        ny = f.size
+        yk = np.linspace(0.0, x, ny + 1)
+        vals = np.concatenate([[0.0], np.cumsum(f) * (x / ny)])
+        vals = np.maximum.accumulate(vals)
+        vals /= vals[-1]
+        # strictify flats so inverse interpolation is well defined
+        vals = (vals + np.linspace(0.0, 1e-12, vals.size)) / (1.0 + 1e-12)
         Qs[c] = np.interp(qg, vals, yk)
+        X[c, :qc.size] = np.interp(qc, vals, yk)
+        X[c, qc.size:] = X[c, qc.size - 1]
 
     def field(x: float, Y: np.ndarray) -> np.ndarray:
         # conditional CDF at time x, interpolated between column quantile
@@ -208,33 +212,35 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         Qb = np.maximum.accumulate(np.clip(Qb, 0.0, None))
         return np.interp(Y, Qb, qg)
 
+    # nodes n h with h = 1/(2 mt q): the largest h <= step that puts column
+    # c's midpoint on a node, n = (2c + 1) q, where its row joins the flow
+    q = math.ceil(1.0 / (2 * mt * step))
+    h = 1.0 / (2 * mt * q)
+    for n in range(q, 2 * mt * q):
+        x = n * h
+        active = (n + q) // (2 * q)
+        Xa = X[:active]
+        k1 = field(x, Xa)
+        k2 = field(x + h / 2, Xa + h / 2 * k1)
+        k3 = field(x + h / 2, Xa + h / 2 * k2)
+        k4 = field(x + h, Xa + h * k3)
+        Xa = Xa + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lo, hi = Xa.min(axis=1), Xa.max(axis=1)
+        out = (lo < -1e-6) | (hi > 1.0 + 1e-6)
+        if out.any():
+            c = int(out.argmax())
+            raise ValueError(
+                f"characteristic from column {c} left [0, 1] "
+                f"(range [{lo[c]:.3e}, {hi[c]:.3e}]); invalid family")
+        X[:active] = np.maximum.accumulate(np.clip(Xa, 0.0, 1.0), axis=1)
+
     edges = np.linspace(0.0, 1.0, m_out + 1)
     w = np.zeros((m_out, m_out))
-    for c in range(mt):
-        x0 = xm[c]
-        yk, vals = col_knots[c]
-        ns = max(8 * m_out, fam.cols[c].size)
-        q = np.linspace(0.0, 1.0, ns + 1)
-        X = np.interp(q, vals, yk)
-        nsteps = max(1, int(math.ceil((1.0 - x0) / step)))
-        dx = (1.0 - x0) / nsteps
-        x = x0
-        for _ in range(nsteps):
-            k1 = field(x, X)
-            k2 = field(x + dx / 2, X + dx / 2 * k1)
-            k3 = field(x + dx / 2, X + dx / 2 * k2)
-            k4 = field(x + dx, X + dx * k3)
-            X = X + dx / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += dx
-            if X.min() < -1e-6 or X.max() > 1.0 + 1e-6:
-                raise ValueError(
-                    f"characteristic from column {c} left [0, 1] "
-                    f"(range [{X.min():.3e}, {X.max():.3e}]); invalid family")
-            X = np.maximum.accumulate(np.clip(X, 0.0, 1.0))
+    for c, qc in enumerate(chunks):
         # bin the transported chunk boundaries: monotone cubic through the
         # transported CDF avoids the secant bias of linear chunk deposition
-        Xu, iu = np.unique(X, return_index=True)
-        qu = q[iu]
+        Xu, iu = np.unique(X[c, :qc.size], return_index=True)
+        qu = qc[iu]
         if Xu.size >= 3:
             interp = PchipInterpolator(Xu, qu)
             colcdf = np.asarray(interp(np.clip(edges, Xu[0], Xu[-1])))

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridPermuton, cdf, rebalance_marginals, uniform_grid
+from .entropy import entropy_grid
 from .patterns import PatternSpec, density_grid_exact_with_grad
 
 
@@ -224,9 +225,9 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
             mu = min(2.0 * mu, 1e6)
         prev_maxc = maxc
 
-    H, _ = _entropy_and_grad(w, m)
+    g = GridPermuton(w)
     return OptimizerResult(
-        grid=GridPermuton(w), entropy=H, achieved=rho, residuals=rho - targets,
+        grid=g, entropy=entropy_grid(g), achieved=rho, residuals=rho - targets,
         multipliers=lam, iterations=total_inner, converged=converged,
         history=history)
 

@@ -56,6 +56,7 @@ large-deviations checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ from .core import GridPermuton, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
+# Largest |r| whose square the star12_rho closed form can represent.
+_R_MAX = math.sqrt(sys.float_info.max)
 # Final bracket width of the star12_r_from_rho bisection.
 _BISECT_TOL = 1e-12
 # Step halvings a damped Newton step may take before solve_star gives up.
@@ -87,8 +90,14 @@ def _li2(z: float) -> float:
 
 
 def star12_rho(r: float) -> float:
-    """Density of 1 2 patterns in the one-parameter model; decreasing in r."""
+    """Density of 1 2 patterns in the one-parameter model; decreasing in r.
+
+    Rejects NaN and |r| >= sqrt(max float), where r^2 overflows.
+    """
     r = float(r)
+    if not abs(r) < _R_MAX:
+        raise ValueError(f"rate r = {r:g} outside the closed form's range "
+                         f"|r| < {_R_MAX:.3g}")
     if abs(r) < _SERIES_SWITCH:
         return 0.5 - r / 18 + r ** 3 / 1800 - r ** 5 / 105840 + r ** 7 / 5443200
     if r < 0:
@@ -132,28 +141,6 @@ def star12_r_from_rho(rho: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class Star12Params:
-    """Rate r and the implied 1 2 density rho of the one-parameter model."""
-
-    r: float
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        if abs(star12_rho(self.r) - self.rho) > 1e-9:
-            raise ValueError("r and rho are inconsistent")
-
-    @classmethod
-    def from_r(cls, r: float) -> "Star12Params":
-        return cls(float(r), star12_rho(r))
-
-    @classmethod
-    def from_rho(cls, rho: float) -> "Star12Params":
-        return cls(star12_r_from_rho(rho), float(rho))
 
 
 def star12_cdf(r: float, x, y):

@@ -76,9 +76,16 @@ def test_manifest_identical_modulo_wall_time(tmp_path):
     assert mans[0] == mans[1]
 
 
-def test_argument_errors_exit_2(tmp_path):
+def test_argument_errors_exit_2(tmp_path, capsys):
     man = tmp_path / "m.json"
     g = tmp_path / "g.csv"
+    # a NaN rate and one whose square overflows are rejected where they enter
+    for rate in ("nan", "1e300"):
+        assert main(["star12", "--r", rate, "--grid", "8", "--out", str(g),
+                     "--manifest", str(man)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not g.exists() and not man.exists()
     main(["star12", "--rho", "0.4", "--grid", "8", "--out", str(g)])
     assert main(["density", "--in", str(g), "--tau", "99",
                  "--manifest", str(man)]) == 2
@@ -137,14 +144,19 @@ def test_solver_success_json(tmp_path):
     assert sol["entropy"] == pytest.approx(-0.85295297934253811, abs=1e-8)
 
 
-def test_optimize_writes_grid_and_sidecar(tmp_path):
+def test_optimize_writes_grid_and_sidecar(tmp_path, capsys):
     out = tmp_path / "opt.csv"
     pgm = tmp_path / "opt.pgm"
+    man = tmp_path / "run.json"
     code = main(["optimize", "--constraints", "12=0.4", "--grid", "16",
-                 "--out", str(out), "--pgm", str(pgm)])
+                 "--out", str(out), "--pgm", str(pgm), "--manifest", str(man)])
     assert code == 0
     side = json.loads(load(str(out) + ".json"))
     assert side["densities"]["12"] == pytest.approx(0.4, abs=1e-4)
+    # stdout, manifest and sidecar report one entropy of the returned grid
+    printed = capsys.readouterr().out.splitlines()[1]
+    assert printed == f"entropy = {side['entropy']:.17g}"
+    assert json.loads(load(man))["scalars"]["entropy"] == side["entropy"]
     header = load(pgm).splitlines()
     assert header[0] == "P2"
     assert header[1] == "16 16"

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     MARGINAL_TOL,
@@ -124,16 +126,18 @@ def test_cdf_linf_identity_vs_reversal():
     assert cdf_linf_distance(ident, ident) == 0.0
 
 
-def test_rect_distance_bounds_linf():
-    rng = np.random.default_rng(5)
-    for m in (4, 8):
-        g1, g2 = random_grid(m, rng), random_grid(m, rng)
-        linf = cdf_linf_distance(g1, g2)
-        rect = rect_distance(g1, g2)
-        assert linf - 1e-12 <= rect <= 4.0 * linf + 1e-12
-        assert rect_distance(g1, g1) == 0.0
-        assert rect_distance(g1, g2) == pytest.approx(rect_distance(g2, g1),
-                                                      abs=1e-15)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_rect_distance_bounds_linf(m, seed):
+    # a rectangle's mass is an alternating sum of four CDF values
+    rng = np.random.default_rng(seed)
+    g1, g2 = random_grid(m, rng), random_grid(m, rng)
+    linf = cdf_linf_distance(g1, g2)
+    rect = rect_distance(g1, g2)
+    assert linf - 1e-12 <= rect <= 4.0 * linf + 1e-12
+    assert rect_distance(g1, g1) == 0.0
+    assert rect_distance(g1, g2) == pytest.approx(rect_distance(g2, g1),
+                                                  abs=1e-15)
 
 
 def test_rect_distance_known_value():
@@ -222,12 +226,14 @@ def test_sample_permutation_tracks_source():
     assert np.array_equal(pi.values, np.arange(1, 41))
 
 
-def test_grid_csv_round_trip():
-    rng = np.random.default_rng(21)
-    g = random_grid(5, rng)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_grid_csv_round_trip(m, seed):
+    # 17 significant digits reproduce every float64 exactly
+    g = random_grid(m, np.random.default_rng(seed))
     text = grid_to_csv(g)
-    assert text.splitlines()[0] == "m=5"
+    assert text.splitlines()[0] == f"m={m}"
     back = grid_from_csv(text)
-    assert np.abs(back.w - g.w).max() <= 1e-15
+    assert np.array_equal(back.w, g.w)
     with pytest.raises(ValueError):
         grid_from_csv("m=3\n1,2\n")

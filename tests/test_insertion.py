@@ -10,12 +10,23 @@ precision.  The entropy functional evaluated on the exact family must match
 the closed-form model entropy, and transporting the family back to a grid
 must land within rectangle distance of the model grid while reporting a
 sub-1e-3 marginal correction.
+
+Reconstruction steps all columns on one shared time grid.  Where that grid's
+spacing equals the requested step (mt a power of two at the default step),
+the result is bitwise that of stepping each column alone from its own
+midpoint, which ``per_column_reference`` does.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from permutons import (
+    GridPermuton,
     InsertionFamily,
     Permutation,
     entropy_grid,
@@ -26,18 +37,73 @@ from permutons import (
     insertion_entropy,
     insertion_from_permuton,
     reconstruct,
+    rebalance_marginals,
     rect_distance,
     star12_entropy,
     star12_family,
     star12_grid,
     uniform_grid,
 )
+from permutons.insertion import column_cells
 
 
 def band_average_reference(r, x, ny):
     edges = np.arange(ny + 1) * (x / ny)
     F = -np.expm1(-r * edges) / -np.expm1(-r * x)
     return np.diff(F) / (x / ny)
+
+
+def per_column_reference(fam, m_out, step=1.0 / 512):
+    """Reconstruction with one RK4 clock per column: column c takes
+    ceil((1 - x_c) / step) equal steps from its midpoint x_c to 1."""
+    mt = fam.mt
+    xm = (np.arange(mt) + 0.5) / mt
+    qg = np.linspace(0.0, 1.0, 513)
+    knots = []
+    for x, f in zip(xm, fam.cols):
+        vals = np.maximum.accumulate(
+            np.concatenate([[0.0], np.cumsum(f) * (x / f.size)]))
+        vals /= vals[-1]
+        vals = (vals + np.linspace(0.0, 1e-12, vals.size)) / (1.0 + 1e-12)
+        knots.append((np.linspace(0.0, x, f.size + 1), vals))
+    Qs = np.array([np.interp(qg, vals, yk) for yk, vals in knots])
+
+    def field(x, Y):
+        j = min(max(int(np.searchsorted(xm, x)), 1), mt - 1)
+        lam = (x - xm[j - 1]) / (xm[j] - xm[j - 1])
+        Qb = np.clip((1.0 - lam) * Qs[j - 1] + lam * Qs[j], 0.0, None)
+        return np.interp(Y, np.maximum.accumulate(Qb), qg)
+
+    edges = np.linspace(0.0, 1.0, m_out + 1)
+    w = np.zeros((m_out, m_out))
+    for c, (yk, vals) in enumerate(knots):
+        q = np.linspace(0.0, 1.0, max(8 * m_out, fam.cols[c].size) + 1)
+        X = np.interp(q, vals, yk)
+        x = xm[c]
+        nsteps = math.ceil((1.0 - x) / step)
+        dx = (1.0 - x) / nsteps
+        for _ in range(nsteps):
+            k1 = field(x, X)
+            k2 = field(x + dx / 2, X + dx / 2 * k1)
+            k3 = field(x + dx / 2, X + dx / 2 * k2)
+            k4 = field(x + dx, X + dx * k3)
+            X = X + dx / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            X = np.maximum.accumulate(np.clip(X, 0.0, 1.0))
+            x += dx
+        Xu, iu = np.unique(X, return_index=True)
+        colcdf = PchipInterpolator(Xu, q[iu])(np.clip(edges, Xu[0], Xu[-1]))
+        colcdf[edges <= Xu[0]] = 0.0
+        colcdf[edges >= Xu[-1]] = 1.0
+        colcdf = np.maximum.accumulate(np.clip(colcdf, 0.0, 1.0))
+        colcdf[0], colcdf[-1] = 0.0, 1.0
+        xl, xr = c / mt, (c + 1) / mt
+        overlap = np.clip(np.minimum(edges[1:], xr) - np.maximum(edges[:-1], xl),
+                          0.0, None)
+        w += np.outer(overlap / (xr - xl), np.diff(colcdf)) / mt
+    target = 1.0 / m_out
+    correction = float(max(abs(w.sum(axis=1) / target - 1.0).max(),
+                           abs(w.sum(axis=0) / target - 1.0).max()))
+    return GridPermuton(rebalance_marginals(w)), correction
 
 
 def test_flat_family_shape_and_entropy():
@@ -133,15 +199,48 @@ def test_reconstruction_of_flat_family_is_uniform():
     assert res.correction < 1e-6
 
 
-def test_family_csv_round_trip():
-    fam = star12_family(-2.5, 16, 24)
+@pytest.mark.parametrize("fam, m_out, step", [
+    (flat_family(8, 8), 4, 1.0 / 512),
+    (star12_family(-3.0, 16, 24), 8, 1.0 / 512),
+    (star12_family(2.0, 32, 32), 2, 1.0 / 512),
+    # my > 8 m_out: the longer rows of the right columns pad the others
+    (star12_family(1.0, 4, 32), 2, 1.0 / 64),
+])
+def test_shared_time_grid_matches_per_column_steps(fam, m_out, step):
+    res = reconstruct(fam, m_out, step=step)
+    ref, correction = per_column_reference(fam, m_out, step)
+    assert np.array_equal(res.grid.w, ref.w)
+    assert res.correction == correction
+
+
+def test_unaligned_time_grid_stays_within_rk4_error():
+    # mt = 6 puts no midpoint on the 1/512 grid: the shared spacing is
+    # 1/516, and the grids agree to the RK4 truncation error
+    fam = star12_family(-3.0, 6, 6)
+    res = reconstruct(fam, 4)
+    ref, correction = per_column_reference(fam, 4)
+    assert np.abs(res.grid.w - ref.w).max() <= 1e-7
+    assert abs(res.correction - correction) <= 1e-6
+    # the coarsest step still works: the grid then steps at 1/(2 mt)
+    coarse = reconstruct(fam, 4, step=0.5)
+    assert rect_distance(coarse.grid, ref) <= 1e-2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_family_csv_round_trip(mt, my, seed):
+    # 17 significant digits reproduce every float64 exactly
+    rng = np.random.default_rng(seed)
+    cols = []
+    for x in (np.arange(mt) + 0.5) / mt:
+        f = rng.uniform(0.1, 1.0, size=column_cells(x, my))
+        cols.append(f / (f.sum() * (x / f.size)))
+    fam = InsertionFamily(mt, my, tuple(cols))
     text = family_to_csv(fam)
-    assert text.splitlines()[0] == "mt=16,my=24"
+    assert text.splitlines()[0] == f"mt={mt},my={my}"
     back = family_from_csv(text)
     assert back.mt == fam.mt and back.my == fam.my
-    worst = max(np.abs(np.asarray(a) - np.asarray(b)).max()
-                for a, b in zip(fam.cols, back.cols))
-    assert worst <= 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip(fam.cols, back.cols))
 
 
 def test_family_csv_rejects_malformed_input():
@@ -169,3 +268,6 @@ def test_reconstruct_validates_arguments():
         reconstruct(fam, 0)
     with pytest.raises(ValueError):
         reconstruct(fam, 8, step=0.0)
+    # one column leaves the field nothing to interpolate between
+    with pytest.raises(ValueError, match="mt >= 2"):
+        reconstruct(flat_family(1, 8), 4)

@@ -145,18 +145,6 @@ def test_identity_grid_pair_density(m):
     assert d21 == pytest.approx(0.5 / m, abs=1e-14)
 
 
-def test_reversal_symmetry():
-    # flipping x reverses patterns: rho_tau(g) = rho_rev(tau)(flip(g))
-    rng = np.random.default_rng(31)
-    g = random_grid(6, rng)
-    flip = GridPermuton(g.w[::-1, :].copy())
-    pairs = [("12", "21"), ("123", "321"), ("132", "231"), ("213", "312")]
-    for a, b in pairs:
-        da = density_grid_exact(g, PatternSpec.parse(a))
-        db = density_grid_exact(flip, PatternSpec.parse(b))
-        assert da == pytest.approx(db, abs=1e-13)
-
-
 def test_star_class_density_is_member_sum():
     rng = np.random.default_rng(41)
     g = random_grid(7, rng)
@@ -247,6 +235,35 @@ def positive_grid(params):
     m, seed, power = params
     w = np.random.default_rng(seed).uniform(0.1, 1.0, size=(m, m)) ** power
     return GridPermuton(rebalance_marginals(w))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(positive_grids)
+def test_reversal_symmetry(params):
+    # the symmetries of the square act on patterns: flipping x reverses tau,
+    # flipping y complements it and transposing inverts it, so
+    # rho_tau(g) = rho_{s(tau)}(s(g)) for each of the three.  Rebalanced
+    # marginals are 1/m only to ~1e-12, which the kernel's quadrant
+    # identities take as exact, so the two sides agree to that order
+    g = positive_grid(params)
+    symmetries = (
+        (g.w[::-1, :], lambda t: t[::-1]),
+        (g.w[:, ::-1], lambda t: tuple(len(t) + 1 - v for v in t)),
+        (g.w.T, lambda t: tuple(int(i) + 1 for i in np.argsort(t))),
+    )
+    for w, act in symmetries:
+        image = GridPermuton(w.copy())
+        for lab in ["12", "21"] + ALL3:
+            tau = PatternSpec.parse(lab)
+            assert density_grid_exact(image, PatternSpec.explicit(act(tau.values))) \
+                == pytest.approx(density_grid_exact(g, tau), abs=1e-11)
+    # complement sends the star class (k, ell) to (k, k + 1 - ell)
+    image = GridPermuton(g.w[:, ::-1].copy())
+    for k in (2, 3):
+        for ell in range(1, k + 1):
+            assert density_grid_exact(image, PatternSpec.star_class(k, k + 1 - ell)) \
+                == pytest.approx(density_grid_exact(g, PatternSpec.star_class(k, ell)),
+                                 abs=1e-11)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -83,6 +83,9 @@ def test_r_from_rho_round_trip():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             star12_r_from_rho(bad)
+    # NaN once recursed without end through the r -> -r symmetry
+    with pytest.raises(ValueError, match="range"):
+        star12_rho(math.nan)
 
 
 def test_density_quadrature_recovers_rho_and_entropy():
