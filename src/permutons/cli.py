@@ -176,8 +176,7 @@ def _cmd_star12(args, scalars) -> int:
     if args.r is not None:
         r, rho = args.r, star12_rho(args.r)
         if not 0.0 < rho < 1.0:
-            raise ValueError(f"rate r = {r:g} gives rho = {rho:g}, "
-                             "not strictly inside (0, 1)")
+            raise ValueError(f"rate r = {r:g} gives rho = {rho:g}, not inside (0, 1)")
     else:
         r, rho = star12_r_from_rho(args.rho), args.rho
     g = star12_grid(r, args.grid)
@@ -542,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output resolution for reconstruction")
     sp.add_argument("--step", type=float, default=1.0 / 512,
                     help="largest RK4 step of the time grid shared by all "
-                         "columns, which holds every column midpoint "
-                         "(default 1/512)")
+                         "columns (default 1/512)")
     sp.add_argument("--pgm", default=None, help="PGM heatmap path")
     sp.set_defaults(handler=_cmd_insertion)
 

@@ -29,16 +29,16 @@ carries density values on max(8, ceil(x * m_y)) uniform y-cells over [0, x]
 
 Reconstruction discretizes the flow carefully, because naive point seeding
 aliases badly.  Per column the measure is cut into equal-mass chunks whose
-boundary quantiles are transported by RK4.  All columns advance together on
-one time grid that holds every column midpoint, and each column joins the
-flow at its own midpoint; the grid spacing is the largest that does not
-exceed the requested step.  The field F interpolates between columns in the
-quantile domain (linear in x on a common quantile grid, with linear
-extrapolation beyond the first/last column midpoints), which is exact for
-x-independent families; transported chunk boundaries are binned through a
-monotone cubic CDF fit so smooth conditional laws do not leak mass into
-extreme bins.  The residual marginal defect is removed by row/column
-rescaling and reported as the rebalance correction.
+boundary quantiles are transported by RK4 on one time grid shared by all
+columns, the coarsest not above the requested step; a column starts at its
+midpoint and takes one partial step to the next node if it is off the grid.
+The field F interpolates between columns in the quantile domain (linear in x
+on a common quantile grid, with linear extrapolation beyond the first/last
+column midpoints), which is exact for x-independent families; transported
+chunk boundaries are binned through a monotone cubic CDF fit so smooth
+conditional laws do not leak mass into extreme bins.  The residual marginal
+defect is removed by row/column rescaling and reported as the rebalance
+correction.
 """
 
 from __future__ import annotations
@@ -184,18 +184,15 @@ def reconstruct(fam: InsertionFamily, m_out: int,
     if mt < 2:
         raise ValueError("reconstruction interpolates between columns: needs mt >= 2")
     xm = column_x(mt)
-    nq = 513
-    qg = np.linspace(0.0, 1.0, nq)
-    Qs = np.empty((mt, nq))
+    qg = np.linspace(0.0, 1.0, 513)
+    Qs = np.empty((mt, qg.size))
     # chunk-boundary quantiles per column; each row of X is padded with its
     # top boundary, which then moves exactly like that boundary does
     chunks = [np.linspace(0.0, 1.0, max(8 * m_out, f.size) + 1) for f in fam.cols]
     X = np.empty((mt, max(qc.size for qc in chunks)))
     for c, (x, f, qc) in enumerate(zip(xm, fam.cols, chunks)):
-        ny = f.size
-        yk = np.linspace(0.0, x, ny + 1)
-        vals = np.concatenate([[0.0], np.cumsum(f) * (x / ny)])
-        vals = np.maximum.accumulate(vals)
+        yk = np.linspace(0.0, x, f.size + 1)
+        vals = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(f) * (x / f.size)]))
         vals /= vals[-1]
         # strictify flats so inverse interpolation is well defined
         vals = (vals + np.linspace(0.0, 1e-12, vals.size)) / (1.0 + 1e-12)
@@ -212,27 +209,37 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         Qb = np.maximum.accumulate(np.clip(Qb, 0.0, None))
         return np.interp(Y, Qb, qg)
 
-    # nodes n h with h = 1/(2 mt q): the largest h <= step that puts column
-    # c's midpoint on a node, n = (2c + 1) q, where its row joins the flow
-    q = math.ceil(1.0 / (2 * mt * step))
-    h = 1.0 / (2 * mt * q)
-    for n in range(q, 2 * mt * q):
-        x = n * h
-        active = (n + q) // (2 * q)
-        Xa = X[:active]
+    def advance(rows: slice, x: float, dx: float) -> None:
+        # one RK4 step of the rows X[rows] from time x to x + dx
+        Xa = X[rows]
         k1 = field(x, Xa)
-        k2 = field(x + h / 2, Xa + h / 2 * k1)
-        k3 = field(x + h / 2, Xa + h / 2 * k2)
-        k4 = field(x + h, Xa + h * k3)
-        Xa = Xa + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = field(x + dx / 2, Xa + dx / 2 * k1)
+        k3 = field(x + dx / 2, Xa + dx / 2 * k2)
+        k4 = field(x + dx, Xa + dx * k3)
+        Xa = Xa + dx / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         lo, hi = Xa.min(axis=1), Xa.max(axis=1)
         out = (lo < -1e-6) | (hi > 1.0 + 1e-6)
         if out.any():
-            c = int(out.argmax())
+            i = int(out.argmax())
             raise ValueError(
-                f"characteristic from column {c} left [0, 1] "
-                f"(range [{lo[c]:.3e}, {hi[c]:.3e}]); invalid family")
-        X[:active] = np.maximum.accumulate(np.clip(Xa, 0.0, 1.0), axis=1)
+                f"characteristic from column {rows.start + i} left [0, 1] "
+                f"(range [{lo[i]:.3e}, {hi[i]:.3e}]); invalid family")
+        X[rows] = np.maximum.accumulate(np.clip(Xa, 0.0, 1.0), axis=1)
+
+    # nodes n h with h = 1/N, N = ceil(1/step): column c joins at the first
+    # node at or after its midpoint, reached by one partial step unless the
+    # midpoint is itself a node, then every node advances all joined rows
+    N = math.ceil(1.0 / step)
+    h = 1.0 / N
+    joins = [-(-(2 * c + 1) * N // (2 * mt)) for c in range(mt)]
+    active = 0
+    for n in range(joins[0], N + 1):
+        while active < mt and joins[active] == n:
+            if n * h > xm[active]:
+                advance(slice(active, active + 1), xm[active], n * h - xm[active])
+            active += 1
+        if n < N:
+            advance(slice(0, active), n * h, h)
 
     edges = np.linspace(0.0, 1.0, m_out + 1)
     w = np.zeros((m_out, m_out))

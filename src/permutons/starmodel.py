@@ -56,7 +56,6 @@ large-deviations checks.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,6 @@ from .core import GridPermuton, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
-# Largest |r| whose square the star12_rho closed form can represent.
-_R_MAX = math.sqrt(sys.float_info.max)
 # Final bracket width of the star12_r_from_rho bisection.
 _BISECT_TOL = 1e-12
 # Step halvings a damped Newton step may take before solve_star gives up.
@@ -90,14 +87,11 @@ def _li2(z: float) -> float:
 
 
 def star12_rho(r: float) -> float:
-    """Density of 1 2 patterns in the one-parameter model; decreasing in r.
-
-    Rejects NaN and |r| >= sqrt(max float), where r^2 overflows.
-    """
+    """Density of 1 2 patterns in the one-parameter model; decreasing in r."""
     r = float(r)
-    if not abs(r) < _R_MAX:
-        raise ValueError(f"rate r = {r:g} outside the closed form's range "
-                         f"|r| < {_R_MAX:.3g}")
+    # NaN would recurse through the reflection below without end
+    if not math.isfinite(r * r):
+        raise ValueError(f"rate r = {r:g} outside the range where r^2 is finite")
     if abs(r) < _SERIES_SWITCH:
         return 0.5 - r / 18 + r ** 3 / 1800 - r ** 5 / 105840 + r ** 7 / 5443200
     if r < 0:

@@ -214,14 +214,15 @@ def test_shared_time_grid_matches_per_column_steps(fam, m_out, step):
 
 
 def test_unaligned_time_grid_stays_within_rk4_error():
-    # mt = 6 puts no midpoint on the 1/512 grid: the shared spacing is
-    # 1/516, and the grids agree to the RK4 truncation error
+    # mt = 6 puts no midpoint on the 1/512 grid: each column reaches its
+    # first node by one partial step, and the grids agree to the RK4
+    # truncation error
     fam = star12_family(-3.0, 6, 6)
     res = reconstruct(fam, 4)
     ref, correction = per_column_reference(fam, 4)
     assert np.abs(res.grid.w - ref.w).max() <= 1e-7
     assert abs(res.correction - correction) <= 1e-6
-    # the coarsest step still works: the grid then steps at 1/(2 mt)
+    # the coarsest step still works: two nodes, at 1/2 and 1
     coarse = reconstruct(fam, 4, step=0.5)
     assert rect_distance(coarse.grid, ref) <= 1e-2
 
