@@ -254,6 +254,7 @@ def _cmd_optimize(args, scalars) -> int:
         "max_residual": float(max(abs(v) for v in res.residuals)),
         "multipliers": res.multipliers.tolist(),
         "iterations": int(res.iterations),
+        "cg_iterations": sum(e["cg_iterations"] for e in res.history),
     })
     _emit_grid(args, res.grid)
     print(f"converged = {str(res.converged).lower()}")
@@ -497,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol-grad", type=float, default=1e-6,
                     help="projected-gradient tolerance")
     sp.add_argument("--max-iter", type=int, default=10_000,
-                    help="inner iteration cap")
+                    help="CG iteration cap per linear solve of a Newton step")
     sp.add_argument("--max-outer", type=int, default=50,
-                    help="outer (multiplier) iteration cap")
+                    help="Newton step cap")
     sp.add_argument("--restarts", type=int, default=0,
                     help="extra seeded perturbed starts")
     sp.add_argument("--pgm", default=None, help="PGM heatmap path")

@@ -50,6 +50,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .core import GridPermuton, cdf, rebalance_marginals
+from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
 
@@ -107,9 +108,9 @@ def star12_family(r: float, mt: int, my: int) -> InsertionFamily:
     """Truncated exponential family f(x, y) = r e^{-ry} / (1 - e^{-rx}).
 
     Cell values are exact cell averages (CDF differences), so every column
-    is normalized exactly.
+    is normalized exactly.  |r| < 1e-100 gives the flat family.
     """
-    if r == 0:
+    if abs(r) < _FLAT_RATE:
         return flat_family(mt, my)
     xs = column_x(mt)
     cols = []

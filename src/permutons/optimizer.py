@@ -6,27 +6,53 @@ patterns.  H is strictly concave and the constraints are low-degree
 polynomials, so for star patterns the maximizer is unique; the solver treats
 the general case and reports diagnostics.
 
-Method: an augmented-Lagrangian outer loop on the density constraints,
+Method: Newton's method on the KKT system of (w, lambda).  The Lagrangian
+is L = H - lambda . c with c = rho(w) - target, and its stationary points
+on the polytope are the maximizers.  Each Newton step works on the tangent
+space T of the marginal polytope: matrices with zero row and column sums,
+onto which double centering (row means, column means and grand mean
+removed) is the Euclidean projection P_T.  With
 
-    Phi(w) = H(w) - lambda . c(w) - (mu/2) |c(w)|^2,    c = rho(w) - target,
+    K = diag(1/w) + sum_i lambda_i Hess(rho_i)      (minus Hess L, on T)
 
-with an inner loop of entropic mirror ascent: a step w <- w * exp(eta * pg)
-followed by alternating row/column rescaling back onto the uniform-marginal
-polytope.  Multiplicative updates keep w strictly positive (so H stays
-finite), the rescaling is the natural projection for this geometry, and pg
-is the gradient of Phi double-centered (row means, column means, and grand
-mean removed) -- the component of the gradient tangent to the marginal
-constraints, so |pg| measures first-order optimality.  The step size grows
-geometrically while steps keep improving Phi and is halved on failure
-(backtracking), making the accepted inner objective sequence nondecreasing.
-Density gradients are the analytic prefix-sum adjoints from the exact
-pattern-density evaluation.  Each projected trial point costs one
-``density_grid_exact_with_grad`` call per constraint pattern and one
-entropy evaluation; an accepted point keeps both, so the next inner
-iteration starts from them without recomputing anything.  A projection that stalls
-on a trial step ends the run: the last accepted iterate is returned
-unconverged, and the last ``history`` entry records the cause under
-``"stop"``.
+a step runs k + 1 preconditioned conjugate-gradient (PCG) solves,
+u_0 = K^-1 P_T grad H and u_i = K^-1 J_i with J_i = P_T grad rho_i, solves
+the k x k Schur system S lambda' = J u_0 + c with S_ij = J_i . u_j for the
+new multipliers, and moves along dw = u_0 - sum_i lambda'_i u_i, which
+satisfies J dw = -c.  Constraint combinations whose tangent gradients are dependent
+(rho_12 and rho_*2 are one density; rho_123 + rho_213 = rho_**3) are left
+out of the Schur system, which gives the minimum-norm multipliers.  When
+their targets violate the dependency at two successive iterates the run
+stops as inconsistent.
+
+Hessian-vector products are exact: for k <= 3 every density is a polynomial
+of degree k in w, so grad rho is quadratic and the central difference
+(grad rho(w + s v) - grad rho(w - s v)) / (2 s) equals Hess(rho) v for any s.
+The kernel evaluates it on the raw arrays w +- s v, which keep uniform
+marginals for v in T but need not be nonnegative.  The preconditioner is
+the entropy diagonal diag(1/w) restricted to T; its inverse costs one m x m
+solve per step.  If PCG meets negative curvature, K is indefinite there and
+every solve of the step is truncated to its first Steihaug iterate, the
+preconditioned right-hand side: the step of the entropy metric alone.
+
+The step is multiplicative, w * exp(a dw / w) with |a dw / w| <= 2, then
+projected back onto the polytope by ``rebalance_marginals``, so w stays
+strictly positive.  It is accepted on the l1 merit H - nu |c|_1 with
+nu = 2 max |lambda'|, never decreased; the step length a is halved until
+the merit falls by no more than rounding (1e-15).  A run converges when
+max |c| < ``tol_constraint`` and max |P_T grad L| < ``tol_grad``.
+``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of one
+solve, which never exceed the dimension (m - 1)^2 of T.  Values and
+gradients at each trial point come from ``density_grid_exact_with_grad``,
+one call per pattern.
+
+Every Newton step appends one entry to ``history``: the constraint residual
+max |c| (``max_residual``), ``grad_norm`` = max |P_T grad L|, the step
+length a, the step's CG iterations, whether negative curvature truncated
+it, the merit, its gain over the step and the penalty nu.  An unconverged
+run's last entry names the cause under ``"stop"``: a stalled projection
+(the last accepted iterate is returned), inconsistent targets, a failed
+line search, or the step limit.
 
 The converged grids satisfy the Euler-Lagrange equations of the continuum
 problem; ``pde_residual_12`` and ``pde_residual_123`` check them.  For a
@@ -48,9 +74,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridPermuton, cdf, rebalance_marginals, uniform_grid
+from .core import GridPermuton, cdf, rebalance_marginals
 from .entropy import entropy_grid
-from .patterns import PatternSpec, density_grid_exact_with_grad
+from .patterns import PatternSpec, _densities, density_grid_exact_with_grad
+
+# relative residual of each CG solve, and relative singular value below
+# which tangent constraint gradients count as dependent
+_CG_RTOL = 1e-10
+_RANK_RTOL = 1e-9
+# backtracking halves the step length at most down to this, and accepts a
+# merit that falls by no more than rounding
+_MIN_STEP = 1e-9
+_MERIT_SLACK = 1e-15
 
 
 @dataclass(frozen=True)
@@ -106,20 +141,25 @@ def _entropy_and_grad(w: np.ndarray, m: int):
     return float(-np.sum(w * lw)), -(lw + 1.0)
 
 
-def _center(g: np.ndarray) -> np.ndarray:
-    return (g - g.mean(axis=1, keepdims=True) - g.mean(axis=0, keepdims=True)
-            + g.mean())
+def _tangent(g: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the tangent space of the marginal polytope:
+    remove row means and column means, add back the grand mean.  The last
+    axes are the grid; leading axes are a batch."""
+    return (g - g.mean(axis=-1, keepdims=True) - g.mean(axis=-2, keepdims=True)
+            + g.mean(axis=(-2, -1), keepdims=True))
 
 
 def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-6,
                      tol_grad: float = 1e-6, max_inner: int = 10_000,
                      max_outer: int = 50, restarts: int = 0,
                      seed: int = 0) -> OptimizerResult:
-    """Augmented-Lagrangian + entropic mirror ascent (module doc).
+    """Newton-KKT entropy maximization (module doc).
 
-    Deterministic from the uniform initialization; ``restarts`` adds that
-    many seeded perturbed starts and returns the best feasible result (the
-    maximizer is proven unique only for star constraints).
+    ``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of
+    each linear solve.  Deterministic from the uniform initialization;
+    ``restarts`` adds that many seeded perturbed starts and returns the best
+    feasible result (the maximizer is proven unique only for star
+    constraints).
     """
     if m < 8:
         raise ValueError("resolution m must be >= 8")
@@ -131,7 +171,7 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
         w0 = np.full((m, m), 1.0 / (m * m))
         if attempt > 0:
             w0 = rebalance_marginals(w0 * np.exp(0.1 * rng.standard_normal((m, m))))
-        res = _maximize_from(cons, w0, m, tol_constraint, tol_grad,
+        res = _maximize_from(cons, w0, tol_constraint, tol_grad,
                              max_inner, max_outer)
         if best is None:
             best = res
@@ -142,94 +182,194 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
     return best
 
 
-def _maximize_from(cons: ConstraintSet, w: np.ndarray, m: int,
+class _Iterate:
+    """A point of the polytope with its entropy, densities and their gradients."""
+
+    def __init__(self, w: np.ndarray, patterns, targets: np.ndarray):
+        m = w.shape[0]
+        g = GridPermuton(w)
+        self.w = w
+        self.rho = np.empty(len(patterns))
+        self.grads = np.empty((len(patterns), m, m))
+        for i, pat in enumerate(patterns):
+            self.rho[i], self.grads[i] = density_grid_exact_with_grad(g, pat)
+        self.H, self.gH = _entropy_and_grad(w, m)
+        self.c = self.rho - targets
+
+    def merit(self, nu: float) -> float:
+        return self.H - nu * float(np.abs(self.c).sum())
+
+    def grad_norm(self, lam: np.ndarray) -> float:
+        return float(np.abs(_tangent(self.gH - np.tensordot(lam, self.grads, axes=1))).max())
+
+
+class _NewtonSystem:
+    """The Lagrangian Hessian K = diag(1/w) + sum lam_i Hess(rho_i) on the
+    tangent space at w, its entropy-diagonal preconditioner, and PCG."""
+
+    def __init__(self, w: np.ndarray, taus: tuple, lam: np.ndarray, max_iter: int):
+        m = w.shape[0]
+        self.w, self.taus, self.lam = w, taus, lam
+        # in exact arithmetic CG ends within the (m - 1)^2 dimensions of the
+        # tangent space; iterations beyond that only fight rounding
+        self.max_iter = min(max_iter, (m - 1) ** 2)
+        self.curved = bool(np.any(lam != 0.0))
+        # z = w (r + a_i + b_j) solves P_T (z / w) = r in T once (a, b) zero
+        # the row and column sums of z.  With row sums R, column sums C and
+        # p, q the row and column sums of w r, eliminating a = -(p + w b) / R
+        # leaves (diag(C) - w^T diag(1/R) w) b = w^T (p / R) - q, singular
+        # along b = const; the rank-one term pins sum(b) = 0.
+        self.rows = w.sum(axis=1)
+        s = np.diag(w.sum(axis=0)) - (w.T / self.rows) @ w + np.full((m, m), 1.0 / m)
+        self.s_inv = np.linalg.inv(s)
+        self.cg_iterations = 0
+        self.truncated = False
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        wr = self.w * r
+        rsum = wr.sum(axis=1)
+        b = self.s_inv @ (self.w.T @ (rsum / self.rows) - wr.sum(axis=0))
+        a = -(rsum + self.w @ b) / self.rows
+        return wr + self.w * (a[:, None] + b[None, :])
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        out = v / self.w
+        if self.curved:
+            # grad rho is quadratic in w for k <= 3, so the central difference
+            # is the exact Hessian-vector product for any s
+            s = float(self.w.min() / np.abs(v).max())
+            _, gp = _densities(self.w + s * v, self.taus, True)
+            _, gm = _densities(self.w - s * v, self.taus, True)
+            out += np.tensordot(self.lam, gp - gm, axes=1) / (2.0 * s)
+        return _tangent(out)
+
+    def newton_step(self, cur: _Iterate, basis: np.ndarray):
+        """The Newton direction dw and multipliers lam for the constraint
+        combinations in ``basis``: k + 1 PCG solves and a Schur system."""
+        pj = np.tensordot(basis.T, _tangent(cur.grads), axes=1)
+        rhs = [_tangent(cur.gH), *pj]
+        sols = []
+        for b in rhs:
+            x = self.solve(b)
+            if x is None:
+                # K is indefinite here: every solve stops at its first
+                # Steihaug iterate, which is the step of the entropy metric
+                self.truncated = True
+                sols = [self.precondition(b) for b in rhs]
+                break
+            sols.append(x)
+        u0, us = sols[0], np.array(sols[1:]).reshape(pj.shape)
+        schur = np.tensordot(pj, us, axes=([1, 2], [1, 2]))
+        # lstsq: a Schur matrix that rounding leaves singular yields the
+        # minimum-norm multipliers instead of an exception
+        mu = np.linalg.lstsq(0.5 * (schur + schur.T),
+                             np.tensordot(pj, u0, axes=2) + basis.T @ cur.c,
+                             rcond=None)[0]
+        return u0 - np.tensordot(mu, us, axes=1), basis @ mu
+
+    def solve(self, b: np.ndarray):
+        """PCG for K x = b on the tangent space; None if it meets negative
+        curvature."""
+        x = np.zeros_like(b)
+        r = b
+        z = self.precondition(r)
+        p, rz = z, float(np.vdot(r, z))
+        stop = _CG_RTOL ** 2 * rz
+        for _ in range(self.max_iter):
+            if rz <= stop:
+                break
+            kp = self.apply(p)
+            self.cg_iterations += 1
+            pkp = float(np.vdot(p, kp))
+            if pkp <= 0.0:
+                return None
+            alpha = rz / pkp
+            x = x + alpha * p
+            r = r - alpha * kp
+            z = self.precondition(r)
+            rz_new = float(np.vdot(r, z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        return x
+
+
+def _maximize_from(cons: ConstraintSet, w: np.ndarray,
                    tol_constraint: float, tol_grad: float,
                    max_inner: int, max_outer: int) -> OptimizerResult:
-    patterns = [c.pattern for c in cons.constraints]
+    patterns = tuple(c.pattern for c in cons.constraints)
     targets = np.array([c.target for c in cons.constraints])
-    k = len(patterns)
-
-    def densities_and_grads(wm):
-        g = GridPermuton(wm)
-        vals = np.empty(k)
-        grads = np.empty((k, m, m))
-        for i, pat in enumerate(patterns):
-            vals[i], grads[i] = density_grid_exact_with_grad(g, pat)
-        return vals, grads
-
-    lam = np.zeros(k)
-    mu = 10.0
-    total_inner = 0
+    cur = _Iterate(w, patterns, targets)
+    lam = np.zeros(len(patterns))
+    nu = 0.0
     history = []
-    prev_maxc = np.inf
-    converged = False
-
-    def phi_of(wm, rho):
-        H, gH = _entropy_and_grad(wm, m)
-        c = rho - targets
-        return H - lam @ c - 0.5 * mu * (c @ c), gH
-
-    rho, grads = densities_and_grads(w)
-    for outer in range(max_outer):
-        eta = 0.5
-        phi, gH = phi_of(w, rho)
-        phi_series = [phi]
-        inner_ok = False
-        stop = None
-        inner = 0
-        while inner < max_inner:
-            inner += 1
-            total_inner += 1
-            c = rho - targets
-            g = gH - np.tensordot(lam + mu * c, grads, axes=1)
-            pg = _center(g)
-            if np.abs(pg).max() < tol_grad:
-                inner_ok = True
-                break
-            accepted = False
-            while eta >= 1e-9:
+    converged = (np.abs(cur.c).max() < tol_constraint
+                 and cur.grad_norm(lam) < tol_grad)
+    missed_before = 0.0
+    for step in range(1, max_outer + 1):
+        if converged:
+            break
+        system = _NewtonSystem(cur.w, patterns, lam, max_inner)
+        basis, missed = _constraint_basis(cur)
+        stop, a, gain = None, 0.0, 0.0
+        if missed > tol_constraint and missed_before > tol_constraint:
+            # a dependency that holds at two successive iterates is taken as
+            # global; the uniform start alone can make gradients dependent
+            stop = ("inconsistent targets: the constraint gradients stay "
+                    "dependent and the targets miss the dependency by "
+                    f"{missed:.3e}")
+        else:
+            dw, lam_new = system.newton_step(cur, basis)
+            nu = max(nu, 2.0 * float(np.abs(lam_new).max()))
+            merit0 = cur.merit(nu)
+            ratio = float(np.abs(dw / cur.w).max())
+            a = 1.0 if ratio <= 2.0 else 2.0 / ratio
+            while stop is None:
                 try:
-                    trial = rebalance_marginals(w * np.exp(eta * pg))
+                    trial = rebalance_marginals(cur.w * np.exp(a * dw / cur.w))
                 except (RuntimeError, ValueError) as exc:
-                    stop = f"projection stalled: {exc}"
+                    stop, a = f"projection stalled: {exc}", 0.0
                     break
-                rho_t, grads_t = densities_and_grads(trial)
-                phi_t, gH_t = phi_of(trial, rho_t)
-                if phi_t >= phi - 1e-15:
-                    w, rho, grads, phi, gH = trial, rho_t, grads_t, phi_t, gH_t
-                    phi_series.append(phi)
-                    eta = min(eta * 1.3, 5.0)
-                    accepted = True
+                nxt = _Iterate(trial, patterns, targets)
+                gain = nxt.merit(nu) - merit0
+                if gain >= -_MERIT_SLACK:
+                    cur, lam = nxt, lam_new
                     break
-                eta *= 0.5
-            if stop is not None:
-                break
-            if not accepted:
-                # step collapsed: the merit is flat to machine precision, so
-                # the iterate is stationary even if the gradient tolerance
-                # was not formally reached
-                inner_ok = True
-                break
-        c = rho - targets
-        maxc = float(np.abs(c).max())
-        history.append({"outer": outer, "inner": inner, "max_residual": maxc,
-                        "phi": phi, "phi_series": phi_series})
+                a *= 0.5
+                if a < _MIN_STEP:
+                    stop, a, gain = "line search failed: no step increases the merit", 0.0, 0.0
+        missed_before = missed
+        maxc = float(np.abs(cur.c).max())
+        gnorm = cur.grad_norm(lam)
+        history.append({
+            "step": step, "max_residual": maxc, "grad_norm": gnorm,
+            "step_length": a, "cg_iterations": system.cg_iterations,
+            "negative_curvature": system.truncated,
+            "merit": cur.merit(nu), "merit_gain": gain, "penalty": nu})
         if stop is not None:
             history[-1]["stop"] = stop
             break
-        if maxc < tol_constraint and inner_ok:
-            converged = True
-            break
-        lam = lam + mu * c
-        if maxc > 0.25 * prev_maxc:
-            mu = min(2.0 * mu, 1e6)
-        prev_maxc = maxc
+        converged = maxc < tol_constraint and gnorm < tol_grad
+    else:
+        if not converged and history:
+            history[-1]["stop"] = f"no convergence in {max_outer} Newton steps"
 
-    g = GridPermuton(w)
+    g = GridPermuton(cur.w)
     return OptimizerResult(
-        grid=g, entropy=entropy_grid(g), achieved=rho, residuals=rho - targets,
-        multipliers=lam, iterations=total_inner, converged=converged,
+        grid=g, entropy=entropy_grid(g), achieved=cur.rho, residuals=cur.c,
+        multipliers=lam, iterations=len(history), converged=converged,
         history=history)
+
+
+def _constraint_basis(cur: _Iterate):
+    """An orthonormal basis (k x r) of the constraint combinations whose
+    tangent gradients are independent, and how far the residual c is from
+    their span: the part of c that no step can change to first order."""
+    pj = _tangent(cur.grads).reshape(len(cur.c), -1)
+    u, sv, _ = np.linalg.svd(pj, full_matrices=False)
+    keep = sv > _RANK_RTOL * sv[0]
+    null = u[:, ~keep]
+    missed = float(np.abs(null @ (null.T @ cur.c)).max()) if null.size else 0.0
+    return u[:, keep], missed
 
 
 def pde_residual_12(g: GridPermuton) -> tuple[float, float]:

@@ -287,15 +287,16 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
     pattern adds its own terms in a fixed order, so its value and gradient
     are bitwise those of a call for that pattern alone.
     """
-    return _densities(g, tuple(taus), grad)
+    return _densities(g.w, tuple(taus), grad)
 
 
-def _densities(g: GridPermuton, taus: tuple, grad: bool):
+def _densities(w: np.ndarray, taus: tuple, grad: bool):
     # the one-pattern forms call this, not the public name, so a tracer that
-    # wraps public functions (perfbench) charges their work to them
+    # wraps public functions (perfbench) charges their work to them.  It reads
+    # only the cell masses, and w need not be a permuton: the optimizer
+    # differences gradients at w +- s v, whose cells may be negative.
     if any(tau.k > 3 for tau in taus):
         raise ValueError("exact grid densities cover k <= 3 only; use density_mc")
-    w = g.w
     # a k = 1 pattern keeps density 1 and gradient 0
     values = np.ones(len(taus))
     grads = np.zeros((len(taus),) + w.shape) if grad else None
@@ -324,12 +325,12 @@ def _densities(g: GridPermuton, taus: tuple, grad: bool):
 
 def density_grid_exact(g: GridPermuton, tau: PatternSpec) -> float:
     """Exact pattern density of the step permuton, k <= 3 (module doc)."""
-    return float(_densities(g, (tau,), False)[0][0])
+    return float(_densities(g.w, (tau,), False)[0][0])
 
 
 def density_grid_exact_with_grad(g: GridPermuton, tau: PatternSpec):
     """Exact density and its analytic gradient d rho / d w (same algebra)."""
-    (value,), (grad,) = _densities(g, (tau,), True)
+    (value,), (grad,) = _densities(g.w, (tau,), True)
     return float(value), grad
 
 

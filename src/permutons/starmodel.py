@@ -68,6 +68,10 @@ from .core import GridPermuton, uniform_grid
 _SERIES_SWITCH = 1e-3
 # Final bracket width of the star12_r_from_rho bisection.
 _BISECT_TOL = 1e-12
+# Below this |r| the star12 model is flat to within rounding (its CDF differs
+# from xy by O(r)), and expm1(r x) expm1(r y) underflows; the closed forms
+# treat such rates as r = 0.
+_FLAT_RATE = 1e-100
 # Step halvings a damped Newton step may take before solve_star gives up.
 _MAX_HALVINGS = 30
 
@@ -139,10 +143,10 @@ def star12_r_from_rho(rho: float) -> float:
 
 def star12_cdf(r: float, x, y):
     """Model CDF G(x, y); the expm1/log1p form is cancellation-free for all
-    r != 0, and r = 0 returns the uniform limit xy exactly."""
+    other r, and |r| < 1e-100 returns the uniform limit xy exactly."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if r == 0:
+    if abs(r) < _FLAT_RATE:
         return x * y
     return np.log1p(np.expm1(r * x) * np.expm1(r * y) / np.expm1(r)) / r
 
@@ -151,7 +155,7 @@ def star12_density(r: float, x, y):
     """Model density g(x, y) = d^2 G / dx dy in a relatively accurate form."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if r == 0:
+    if abs(r) < _FLAT_RATE:
         return np.ones(np.broadcast(x, y).shape)
     half = (np.exp(-r * x / 2) * np.sinh(r * (1 - y) / 2)
             + np.exp(r * (x - 1) / 2) * np.sinh(r * y / 2))
@@ -162,10 +166,10 @@ def star12_grid(r: float, m: int) -> GridPermuton:
     """Step permuton of the model: cell masses from corner CDF differences.
 
     The corner form keeps the marginals exactly uniform because G(x, 1) = x
-    and G(1, y) = y hold to rounding in the expm1 evaluation.  r = 0 returns
-    the uniform grid outright so its entropy is exactly 0.
+    and G(1, y) = y hold to rounding in the expm1 evaluation.  |r| < 1e-100
+    returns the uniform grid outright so its entropy is exactly 0.
     """
-    if r == 0.0:
+    if abs(r) < _FLAT_RATE:
         return uniform_grid(m)
     edges = np.linspace(0.0, 1.0, m + 1)
     G = star12_cdf(r, edges[:, None], edges[None, :])

@@ -165,18 +165,35 @@ def test_optimize_writes_grid_and_sidecar(tmp_path, capsys):
     assert len(body) == 256 and max(body) == 255
 
 
+def test_optimize_manifest_counts_newton_and_cg_work(tmp_path):
+    out = tmp_path / "opt.csv"
+    man = tmp_path / "run.json"
+    mans = []
+    for _ in (1, 2):
+        code = main(["optimize", "--constraints", "12=0.55,123=0.2", "--grid", "16",
+                     "--out", str(out), "--manifest", str(man)])
+        assert code == 0
+        mans.append(json.loads(load(man)))
+        assert mans[-1].pop("wall_time_s") >= 0.0
+    assert mans[0] == mans[1]
+    scalars = mans[0]["scalars"]
+    assert 0 < scalars["iterations"] <= 10
+    assert scalars["cg_iterations"] >= scalars["iterations"]
+
+
 def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeypatch):
     import permutons.optimizer as opt
 
     real, calls = opt.rebalance_marginals, []
 
-    def stalls_on_fifth_call(w, *args, **kwargs):
+    def stalls_on_second_call(w, *args, **kwargs):
+        # the run needs three Newton steps, one projection each
         calls.append(1)
-        if len(calls) == 5:
+        if len(calls) == 2:
             raise RuntimeError("marginal rebalancing did not reach 1.0e-13")
         return real(w, *args, **kwargs)
 
-    monkeypatch.setattr(opt, "rebalance_marginals", stalls_on_fifth_call)
+    monkeypatch.setattr(opt, "rebalance_marginals", stalls_on_second_call)
     out = tmp_path / "opt.csv"
     man = tmp_path / "m.json"
     code = main(["optimize", "--constraints", "12=0.4", "--grid", "16",
@@ -188,6 +205,7 @@ def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeyp
     record = json.loads(load(man))
     assert record["exit_code"] == 3
     assert record["scalars"]["converged"] is False
+    assert record["scalars"]["iterations"] == 2 == len(calls)
 
 
 def test_density_exact_and_mc(tmp_path, capsys):

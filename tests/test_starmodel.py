@@ -27,12 +27,14 @@ from permutons import (
     ConvergenceError,
     StarModel,
     evaluate_star,
+    flat_family,
     mahonian_log_gf,
     region_star23_boundary,
     solve_star,
     star12_cdf,
     star12_density,
     star12_entropy,
+    star12_family,
     star12_grid,
     star12_r_from_rho,
     star12_rho,
@@ -126,6 +128,19 @@ def test_grid_cells_are_cdf_increments():
 def test_grid_zero_parameter_is_uniform():
     g = star12_grid(0.0, 12)
     assert np.array_equal(g.w, uniform_grid(12).w)
+
+
+@pytest.mark.parametrize("r", [5e-324, -5e-324, 1e-200, -1e-200, 9.9e-101])
+def test_tiny_rates_give_the_flat_model(r):
+    # expm1(r x) expm1(r y) underflows at these rates, where the model is
+    # flat to within rounding: every form must equal its r = 0 value
+    x = np.linspace(0.0, 1.0, 9)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    assert np.array_equal(star12_cdf(r, X, Y), X * Y)
+    assert np.array_equal(star12_density(r, X, Y), np.ones_like(X))
+    assert np.array_equal(star12_grid(r, 16).w, uniform_grid(16).w)
+    fam, flat = star12_family(r, 16, 24), flat_family(16, 24)
+    assert all(np.array_equal(a, b) for a, b in zip(fam.cols, flat.cols))
 
 
 def test_grid_pair_density_tracks_closed_form():
