@@ -263,13 +263,7 @@ def _cmd_optimize(args, scalars) -> int:
         print(f"rho({lbl}) = {_f(v)}")
     print(f"max_residual = {_f(scalars['max_residual'])}")
     if not res.converged:
-        stop = res.history[-1].get("stop") if res.history else None
-        if stop is not None:
-            print(f"error: {stop}", file=sys.stderr)
-        else:
-            print("error: optimizer did not reach the constraint/gradient "
-                  "tolerances (targets may be on or outside the feasible region)",
-                  file=sys.stderr)
+        print(f"error: {res.stop}", file=sys.stderr)
         return 3
     return 0
 

@@ -25,13 +25,15 @@ out of the Schur system, which gives the minimum-norm multipliers.  When
 their targets violate the dependency at two successive iterates the run
 stops as inconsistent.
 
-Hessian-vector products are exact: for k <= 3 every density is a polynomial
-of degree k in w, so grad rho is quadratic and the central difference
-(grad rho(w + s v) - grad rho(w - s v)) / (2 s) equals Hess(rho) v for any s.
-The kernel evaluates it on the raw arrays w +- s v, which keep uniform
-marginals for v in T but need not be nonnegative.  The preconditioner is
-the entropy diagonal diag(1/w) restricted to T; its inverse costs one m x m
-solve per step.  If PCG meets negative curvature, K is indefinite there and
+Hessian-vector products are exact and direct.  Every density is a sum of
+quadrant terms whose fields are affine in w through one linear prefix map
+L, so the Hessian of sum_i lambda_i rho_i is a fixed linear operator at w:
+``patterns._hessian_operator`` sums the terms' fields, weighted by lambda,
+once per Newton step, and each product then costs one pass of L, a 4 x 4
+mix and one pass of its adjoint, however many patterns there are.  It
+never calls the density kernel.  The preconditioner is the entropy
+diagonal diag(1/w) restricted to T; its inverse costs one m x m solve per
+step.  If PCG meets negative curvature, K is indefinite there and
 every solve of the step is truncated to its first Steihaug iterate, the
 preconditioned right-hand side: the step of the entropy metric alone.
 
@@ -43,16 +45,26 @@ the merit falls by no more than rounding (1e-15).  A run converges when
 max |c| < ``tol_constraint`` and max |P_T grad L| < ``tol_grad``.
 ``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of one
 solve, which never exceed the dimension (m - 1)^2 of T.  Values and
-gradients at each trial point come from ``density_grid_exact_with_grad``,
-one call per pattern.
+gradients at the start and at each trial point come from
+``density_grid_exact_with_grad``, one call per pattern; these are the
+only density-kernel evaluations of a run.
+
+Before any step, a target for one pattern of length 2 or 3 (or a star
+class with one member) is checked against a proven bound at resolution m:
+rho_tau <= 1 - P(E) / 2, E the event that two of the k points share an
+x-band (``_beyond_resolution``).  A target above it stops the run at once
+as infeasible at that resolution.  Joint feasibility of several targets is
+left to the Newton iteration.
 
 Every Newton step appends one entry to ``history``: the constraint residual
 max |c| (``max_residual``), ``grad_norm`` = max |P_T grad L|, the step
-length a, the step's CG iterations, whether negative curvature truncated
-it, the merit, its gain over the step and the penalty nu.  An unconverged
-run's last entry names the cause under ``"stop"``: a stalled projection
-(the last accepted iterate is returned), inconsistent targets, a failed
-line search, or the step limit.
+length a, the step's CG iterations, the trial points its line search
+evaluated (``trial_points``), whether negative curvature truncated it, the
+merit, its gain over the step and the penalty nu.  An unconverged run
+names its cause in ``OptimizerResult.stop``: a target beyond the
+resolution bound (no step taken), or, also under ``"stop"`` in the last
+history entry, a stalled projection (the last accepted iterate is
+returned), inconsistent targets, a failed line search, or the step limit.
 
 The converged grids satisfy the Euler-Lagrange equations of the continuum
 problem; ``pde_residual_12`` and ``pde_residual_123`` check them.  For a
@@ -70,13 +82,14 @@ differences and report the post-fit RMS residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import GridPermuton, cdf, rebalance_marginals
 from .entropy import entropy_grid
-from .patterns import PatternSpec, _densities, density_grid_exact_with_grad
+from .patterns import PatternSpec, _hessian_operator, density_grid_exact_with_grad
 
 # relative residual of each CG solve, and relative singular value below
 # which tangent constraint gradients count as dependent
@@ -134,6 +147,9 @@ class OptimizerResult:
     iterations: int
     converged: bool
     history: list = field(default_factory=list)
+    # why an unconverged run stopped (None when converged); a run stopped by
+    # a Newton step also names it under history[-1]["stop"]
+    stop: str | None = None
 
 
 def _entropy_and_grad(w: np.ndarray, m: int):
@@ -156,13 +172,21 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
     """Newton-KKT entropy maximization (module doc).
 
     ``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of
-    each linear solve.  Deterministic from the uniform initialization;
-    ``restarts`` adds that many seeded perturbed starts and returns the best
-    feasible result (the maximizer is proven unique only for star
-    constraints).
+    each linear solve; both must be at least 1, and the tolerances positive
+    and finite (ValueError otherwise).  Deterministic from the uniform
+    initialization; ``restarts`` adds that many seeded perturbed starts and
+    returns the best feasible result (the maximizer is proven unique only
+    for star constraints).
     """
     if m < 8:
         raise ValueError("resolution m must be >= 8")
+    for name, tol in (("tol_constraint", tol_constraint), ("tol_grad", tol_grad)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
+    for name, count, least in (("max_inner", max_inner, 1), ("max_outer", max_outer, 1),
+                               ("restarts", restarts, 0)):
+        if count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
     if isinstance(cons, (list, tuple)):
         cons = ConstraintSet(tuple(cons))
     best = None
@@ -209,11 +233,11 @@ class _NewtonSystem:
 
     def __init__(self, w: np.ndarray, taus: tuple, lam: np.ndarray, max_iter: int):
         m = w.shape[0]
-        self.w, self.taus, self.lam = w, taus, lam
+        self.w = w
         # in exact arithmetic CG ends within the (m - 1)^2 dimensions of the
         # tangent space; iterations beyond that only fight rounding
         self.max_iter = min(max_iter, (m - 1) ** 2)
-        self.curved = bool(np.any(lam != 0.0))
+        self.hessian = _hessian_operator(w, taus, lam) if np.any(lam != 0.0) else None
         # z = w (r + a_i + b_j) solves P_T (z / w) = r in T once (a, b) zero
         # the row and column sums of z.  With row sums R, column sums C and
         # p, q the row and column sums of w r, eliminating a = -(p + w b) / R
@@ -234,13 +258,8 @@ class _NewtonSystem:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = v / self.w
-        if self.curved:
-            # grad rho is quadratic in w for k <= 3, so the central difference
-            # is the exact Hessian-vector product for any s
-            s = float(self.w.min() / np.abs(v).max())
-            _, gp = _densities(self.w + s * v, self.taus, True)
-            _, gm = _densities(self.w - s * v, self.taus, True)
-            out += np.tensordot(self.lam, gp - gm, axes=1) / (2.0 * s)
+        if self.hessian is not None:
+            out += self.hessian(v)
         return _tangent(out)
 
     def newton_step(self, cur: _Iterate, basis: np.ndarray):
@@ -302,15 +321,16 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
     lam = np.zeros(len(patterns))
     nu = 0.0
     history = []
-    converged = (np.abs(cur.c).max() < tol_constraint
+    stop = _beyond_resolution(cons, w.shape[0])
+    converged = (stop is None and np.abs(cur.c).max() < tol_constraint
                  and cur.grad_norm(lam) < tol_grad)
     missed_before = 0.0
     for step in range(1, max_outer + 1):
-        if converged:
+        if converged or stop is not None:
             break
         system = _NewtonSystem(cur.w, patterns, lam, max_inner)
         basis, missed = _constraint_basis(cur)
-        stop, a, gain = None, 0.0, 0.0
+        a, gain, trials = 0.0, 0.0, 0
         if missed > tol_constraint and missed_before > tol_constraint:
             # a dependency that holds at two successive iterates is taken as
             # global; the uniform start alone can make gradients dependent
@@ -330,6 +350,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
                     stop, a = f"projection stalled: {exc}", 0.0
                     break
                 nxt = _Iterate(trial, patterns, targets)
+                trials += 1
                 gain = nxt.merit(nu) - merit0
                 if gain >= -_MERIT_SLACK:
                     cur, lam = nxt, lam_new
@@ -343,21 +364,44 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
         history.append({
             "step": step, "max_residual": maxc, "grad_norm": gnorm,
             "step_length": a, "cg_iterations": system.cg_iterations,
-            "negative_curvature": system.truncated,
+            "trial_points": trials, "negative_curvature": system.truncated,
             "merit": cur.merit(nu), "merit_gain": gain, "penalty": nu})
         if stop is not None:
             history[-1]["stop"] = stop
             break
         converged = maxc < tol_constraint and gnorm < tol_grad
     else:
-        if not converged and history:
-            history[-1]["stop"] = f"no convergence in {max_outer} Newton steps"
+        if not converged:
+            stop = history[-1]["stop"] = f"no convergence in {max_outer} Newton steps"
 
     g = GridPermuton(cur.w)
     return OptimizerResult(
         grid=g, entropy=entropy_grid(g), achieved=cur.rho, residuals=cur.c,
         multipliers=lam, iterations=len(history), converged=converged,
-        history=history)
+        history=history, stop=stop)
+
+
+def _beyond_resolution(cons: ConstraintSet, m: int) -> str | None:
+    """The cause naming a target that no m x m step permuton attains, or None.
+
+    For one pattern tau of length k in {2, 3} (or a star class with one
+    member) let E be the event that two of the k points share an x-band.
+    Swapping those two points' x-coordinates keeps the measure, since the
+    density is constant on cells, and keeps every point's band, so it is an
+    involution of E; it also changes the pattern.  Hence at most half of E
+    realizes tau, and rho_tau <= 1 - P(E) / 2 with P(E) = 1/m for k = 2 and
+    1 - (1 - 1/m)(1 - 2/m) for k = 3.  The identity grid attains the k = 2
+    bound, 1 - 1/(2m).
+    """
+    for c in cons.constraints:
+        k = c.pattern.k
+        if k not in (2, 3) or len(c.pattern.members()) != 1:
+            continue
+        shared = 1.0 / m if k == 2 else 1.0 - (1.0 - 1.0 / m) * (1.0 - 2.0 / m)
+        cap = 1.0 - shared / 2.0
+        if c.target > cap:
+            return f"infeasible at resolution m = {m}: rho_{c.pattern.label} <= {cap:.6g}"
+    return None
 
 
 def _constraint_basis(cur: _Iterate):

@@ -30,7 +30,10 @@ densities sum to exactly 1.
 
 The same structure yields the analytic gradient d rho / d w: the quadrant
 coefficient fields are linear in w through prefix sums, so the adjoint is a
-sum of suffix scans of weighted channel products.  Gradients power the
+sum of suffix scans of weighted channel products.  Differentiating once
+more gives the Hessian of any weighted sum of densities as a fixed linear
+operator (``_hessian_operator``): a prefix scan, a 4 x 4 mix and a suffix
+scan per product.  Gradients and Hessian-vector products power the
 constrained entropy optimizer.
 
 ``densities`` evaluates a list of patterns on one grid: it builds the
@@ -187,19 +190,28 @@ def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> int:
     return int(np.count_nonzero(np.all([b == want[a] for a, b in zip(rx, ry)], axis=0)))
 
 
+def _prefix(w: np.ndarray) -> np.ndarray:
+    """The linear map L: w -> (strict 2-D prefix, strict same-row prefix,
+    strict same-column prefix, w), shape (4, m, m).  It is the quadrant
+    field A, and the w-linear part of every other quadrant field."""
+    m = w.shape[0]
+    L = np.zeros((4, m, m))
+    col = np.cumsum(w, axis=0)
+    L[0, 1:, 1:] = np.cumsum(col, axis=1)[:-1, :-1]  # sum over i' < i, j' < j
+    L[1, :, 1:] = np.cumsum(w, axis=1)[:, :-1]        # same row i, j' < j
+    L[2, 1:, :] = col[:-1, :]                         # same column j, i' < i
+    L[3] = w
+    return L
+
+
 def _channels(w: np.ndarray):
     """Quadrant coefficient fields (4, m, m) for A, B, C, D (see module doc)."""
     m = w.shape[0]
     xi = (np.arange(m) / m)[:, None]    # cell corners, a column and a row
     yj = (np.arange(m) / m)[None, :]
     inv = 1.0 / m
-    A = np.zeros((4, m, m))
+    A = _prefix(w)
     g00, gu, gv = A[0], A[1], A[2]
-    col = np.cumsum(w, axis=0)
-    g00[1:, 1:] = np.cumsum(col, axis=1)[:-1, :-1]  # sum over i' < i, j' < j
-    gu[:, 1:] = np.cumsum(w, axis=1)[:, :-1]          # same row i, j' < j
-    gv[1:, :] = col[:-1, :]                           # same column j, i' < i
-    A[3] = w
     B, C, D = np.empty((3, 4, m, m))
     np.add(1.0 - xi - yj, g00, out=B[0])
     np.subtract(gu, inv, out=B[1])
@@ -242,18 +254,31 @@ def _suffix_axis0_strict(T):
     return out
 
 
-def _grad_J(w, P, Q, q, sP: float, sQ: float):
-    """Gradient of _J(w, P, Q) in w, given the field q that _J returns.
+def _adjoint(T, out):
+    """out + L^T T: the adjoint of ``_prefix`` applied to T (4, m, m), a
+    strict suffix scan per channel, added to out in channel order."""
+    return (out + _suffix2d_strict(T[0]) + _suffix_axis1_strict(T[1])
+            + _suffix_axis0_strict(T[2]) + T[3])
 
-    sP, sQ are the signs of the w-dependent parts of the quadrant fields
-    (+1 for A and B, -1 for C and D, 0 for the constant field U); the affine
-    parts contribute only through the direct term.
-    """
+
+def _term_field(P, Q, sP: float, sQ: float):
+    """R = sP BIL Q + sQ BIL^T P (4, m, m): d q / d w along the prefix
+    channels, q the field of _J(w, P, Q)."""
     TQ = np.einsum("cb,bij->cij", _BIL, Q)
     TP = np.einsum("ac,aij->cij", _BIL, P)
-    T = w[None] * (sP * TQ + sQ * TP)
-    return (q + _suffix2d_strict(T[0]) + _suffix_axis1_strict(T[1])
-            + _suffix_axis0_strict(T[2]) + T[3])
+    return sP * TQ + sQ * TP
+
+
+def _grad_J(w, P, Q, q, sP: float, sQ: float):
+    """Gradient q + L^T (w R) of _J(w, P, Q) in w, given the field q that
+    _J returns.
+
+    sP, sQ are the signs of the w-dependent parts of the quadrant fields
+    (+1 for A and B, -1 for C and D, 0 for the constant field U), so that
+    P = const + sP L(w); the affine parts contribute only through the
+    direct term.
+    """
+    return _adjoint(w[None] * _term_field(P, Q, sP, sQ), q)
 
 
 def _exact_terms(tau_values: tuple[int, ...]):
@@ -292,9 +317,8 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
 
 def _densities(w: np.ndarray, taus: tuple, grad: bool):
     # the one-pattern forms call this, not the public name, so a tracer that
-    # wraps public functions (perfbench) charges their work to them.  It reads
-    # only the cell masses, and w need not be a permuton: the optimizer
-    # differences gradients at w +- s v, whose cells may be negative.
+    # wraps public functions (perfbench) charges their work to them.  It
+    # reads only the cell masses w.
     if any(tau.k > 3 for tau in taus):
         raise ValueError("exact grid densities cover k <= 3 only; use density_mc")
     # a k = 1 pattern keeps density 1 and gradient 0
@@ -321,6 +345,43 @@ def _densities(w: np.ndarray, taus: tuple, grad: bool):
                     grads[i] += coeff * term[1]
         values[i] = value
     return values, grads
+
+
+def _hessian_operator(w: np.ndarray, taus: tuple, weights):
+    """The map v -> sum_i weights[i] Hess(rho_{taus[i]})(w) v, exact.
+
+    Every term J = sum w q, q = sum_ab BIL_ab P_a Q_b, has the gradient
+    q + L^T (w R) with R = ``_term_field`` and P = const + sP L(w)
+    (``_grad_J``).  Differentiating along v, with L linear and BIL
+    symmetric,
+
+        Hess(J) v = sum_c R_c L_c(v) + L^T (v R + 2 sP sQ w BIL L(v)).
+
+    R and the sign products are summed once, weighted by weights[i] times
+    the term's coefficient, into one field Rbar (4, m, m) and one scalar;
+    each product then costs one prefix map, one 4 x 4 mix and one adjoint,
+    however many patterns and terms there are.
+    """
+    coeffs = {}
+    for weight, tau in zip(weights, taus):
+        for member in tau.members():
+            for coeff, pn, qn in _exact_terms(member):
+                coeffs[pn, qn] = coeffs.get((pn, qn), 0.0) + weight * coeff
+    fields = dict(zip("ABCDU", _channels(w)))
+    rbar = np.zeros((4,) + w.shape)
+    sigma = 0.0
+    for (pn, qn), c in coeffs.items():
+        sP, sQ = _QSIGN[pn], _QSIGN[qn]
+        rbar += c * _term_field(fields[pn], fields[qn], sP, sQ)
+        sigma += c * sP * sQ
+    mix = (2.0 * sigma) * w
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        lv = _prefix(v)
+        direct = np.einsum("cij,cij->ij", rbar, lv)
+        return _adjoint(v * rbar + mix * np.einsum("ab,bij->aij", _BIL, lv), direct)
+
+    return apply
 
 
 def density_grid_exact(g: GridPermuton, tau: PatternSpec) -> float:

@@ -95,6 +95,14 @@ def test_argument_errors_exit_2(tmp_path, capsys):
     assert main(["ldp", "--rho", "0.4", "--eps", "0.05", "--n", "9999"]) == 2
     for trials in ("0", "-5"):
         assert main(["sweep-ab", "--na", "2", "--nb", "2", "--trials", trials]) == 2
+    # optimizer budgets and tolerances are checked before any work
+    capsys.readouterr()
+    for flag, value in (("--restarts", "-1"), ("--max-outer", "0"), ("--tol", "nan")):
+        assert main(["optimize", "--constraints", "12=0.3", "--grid", "8",
+                     flag, value, "--manifest", str(man)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not man.exists()
     # a non-finite cell mass is invalid input, not an entropy of 0
     rows = load(g).splitlines()
     rows[1] = "nan" + rows[1][rows[1].index(","):]
@@ -206,6 +214,19 @@ def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeyp
     assert record["exit_code"] == 3
     assert record["scalars"]["converged"] is False
     assert record["scalars"]["iterations"] == 2 == len(calls)
+
+
+def test_optimize_beyond_resolution_exits_3(tmp_path, capsys):
+    # no 16 x 16 grid has rho_123 = 0.95: the run says so before any step
+    man = tmp_path / "m.json"
+    code = main(["optimize", "--constraints", "123=0.95", "--grid", "16",
+                 "--out", str(tmp_path / "opt.csv"), "--manifest", str(man)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: infeasible at resolution m = 16: rho_123 <= 0.910156" in err
+    record = json.loads(load(man))
+    assert record["exit_code"] == 3
+    assert record["scalars"]["iterations"] == 0 == record["scalars"]["cg_iterations"]
 
 
 def test_density_exact_and_mc(tmp_path, capsys):

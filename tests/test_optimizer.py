@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from permutons import (
     ConstraintSet,
+    GridPermuton,
     OptimizerResult,
     density_grid_exact,
     entropy_grid,
@@ -33,7 +34,7 @@ from permutons import (
     coarsen,
     uniform_grid,
 )
-from permutons.patterns import _densities
+from permutons.patterns import _densities, _hessian_operator
 
 
 def test_constraint_set_validation():
@@ -123,15 +124,76 @@ def test_seeded_runs_are_reproducible():
 
 def test_unreachable_target_reports_failure():
     # no 8x8 step measure has ascent density 0.99 (the cap is 1 - 1/(2m));
-    # the optimizer must stop at its step budget and say so rather than
-    # claim success
+    # the optimizer must say so before any Newton step rather than spend
+    # its budget or claim success
     res = maximize_entropy(ConstraintSet.of(("12", 0.99)), 8,
                            max_inner=200, max_outer=6)
     assert not res.converged
-    assert res.achieved[0] < 0.95
-    assert len(res.history) == res.iterations == 6
-    assert res.history[-1]["stop"] == "no convergence in 6 Newton steps"
+    assert res.history == [] and res.iterations == 0
+    assert res.stop == "infeasible at resolution m = 8: rho_12 <= 0.9375"
+    assert np.array_equal(res.grid.w, uniform_grid(8).w)
+    assert res.achieved[0] == 0.5
+
+
+def test_step_limit_reports_failure():
+    # 123 = 0.6 at m = 16 needs six Newton steps: five stop at the limit
+    # and say so rather than claim success
+    res = maximize_entropy(ConstraintSet.of(("123", 0.6)), 16,
+                           max_inner=200, max_outer=5)
+    assert not res.converged
+    assert len(res.history) == res.iterations == 5
+    assert res.stop == res.history[-1]["stop"] == "no convergence in 5 Newton steps"
     assert all(e["cg_iterations"] <= 2 * 200 for e in res.history)
+
+
+@pytest.mark.parametrize("pairs,m,cause", [
+    ((("123", 0.95),), 16, "rho_123 <= 0.910156"),
+    ((("321", 0.92),), 16, "rho_321 <= 0.910156"),
+    ((("12", 0.4), ("*1", 0.95)), 8, "rho_*1 <= 0.9375"),
+    ((("213", 0.9),), 8, "rho_213 <= 0.828125"),
+], ids=["123", "321", "*1", "213"])
+def test_targets_beyond_the_resolution_bound_stop_at_once(pairs, m, cause):
+    # however many restarts, a target over the bound costs no Newton step
+    res = maximize_entropy(ConstraintSet.of(*pairs), m, restarts=2)
+    assert not res.converged and res.iterations == 0
+    assert res.stop == f"infeasible at resolution m = {m}: {cause}"
+
+
+@pytest.mark.parametrize("m", [8, 9, 16, 32, 64, 257])
+def test_resolution_bound_against_the_identity_grid(m):
+    # the identity grid attains the k = 2 bound and stays under the k = 3
+    # one; its rho_123 is (1 - 1/m)(1 - 2/m) + 3 (1 - 1/m) / (2m) + 1/(6m^2)
+    ident = GridPermuton(np.eye(m) / m)
+    rho12 = density_grid_exact(ident, PatternSpec.parse("12"))
+    rho123 = density_grid_exact(ident, PatternSpec.parse("123"))
+    closed = (1 - 1 / m) * (1 - 2 / m) + 3 * (1 - 1 / m) / (2 * m) + 1 / (6 * m * m)
+    assert rho123 == pytest.approx(closed, abs=1e-13)
+    cap2 = 1 - (1 / m) / 2
+    cap3 = 1 - (1 - (1 - 1 / m) * (1 - 2 / m)) / 2
+    assert rho12 == pytest.approx(cap2, abs=1e-13)
+    assert closed <= cap3
+    # a target just over each bound is rejected, one just under it is not
+    for label, cap in (("12", cap2), ("*2", cap2), ("123", cap3), ("231", cap3)):
+        over = maximize_entropy(ConstraintSet.of((label, cap + 1e-9)), m, max_outer=1)
+        assert over.iterations == 0 and over.stop.startswith(
+            f"infeasible at resolution m = {m}: rho_{label} <= ")
+        under = maximize_entropy(ConstraintSet.of((label, cap - 1e-9)), m, max_outer=1)
+        assert under.iterations == 1
+    # star classes with several members are left to the solver
+    assert maximize_entropy(ConstraintSet.of(("**3", (cap3 + 1) / 2)), m,
+                            max_outer=1).iterations == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": -1}, {"max_outer": 0}, {"max_inner": 0},
+    {"tol_constraint": float("nan")}, {"tol_constraint": 0.0},
+    {"tol_grad": float("inf")}, {"tol_grad": -1e-6},
+], ids=["restarts=-1", "max_outer=0", "max_inner=0", "tol_constraint=nan",
+        "tol_constraint=0", "tol_grad=inf", "tol_grad<0"])
+def test_invalid_arguments_are_rejected(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        maximize_entropy(ConstraintSet.of(("12", 0.3)), 8, **kwargs)
 
 
 @pytest.mark.parametrize("exc", [
@@ -169,20 +231,13 @@ def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch, exc):
     assert res.achieved[0] == density_grid_exact(res.grid, PatternSpec.parse("123"))
 
 
-def test_zero_outer_budget_returns_the_start():
-    res = maximize_entropy(ConstraintSet.of(("12", 0.3)), 8, max_outer=0)
-    assert not res.converged
-    assert res.history == [] and res.iterations == 0
-    assert np.array_equal(res.grid.w, uniform_grid(8).w)
-    assert res.achieved[0] == density_grid_exact(uniform_grid(8), PatternSpec.parse("12"))
-
-
 def test_two_constraint_problem():
     cs = ConstraintSet.of(("12", 0.55), ("123", 0.2))
     res = maximize_entropy(cs, 16)
     # thousands of first-order iterations, a handful of Newton steps;
     # counted in steps so the bound does not depend on the host
-    assert res.converged and res.iterations <= 10
+    assert res.converged and res.iterations == 4
+    assert sum(e["cg_iterations"] for e in res.history) == 73
     assert np.abs(res.residuals).max() <= 1e-6
     # entropy cannot exceed the single-constraint optimum for either target
     assert res.entropy <= star12_entropy(star12_r_from_rho(0.55)) + 1e-9
@@ -209,8 +264,10 @@ def test_history_records_one_newton_step_per_entry():
     assert [e["step"] for e in res.history] == list(range(1, res.iterations + 1))
     for e in res.history:
         assert {"max_residual", "grad_norm", "step_length", "cg_iterations",
-                "negative_curvature", "merit", "merit_gain", "penalty"} <= set(e)
+                "trial_points", "negative_curvature", "merit", "merit_gain",
+                "penalty"} <= set(e)
         assert 0.0 < e["step_length"] <= 1.0 and e["cg_iterations"] >= 0
+        assert e["trial_points"] >= 1
         assert "stop" not in e
     last = res.history[-1]
     assert last["max_residual"] == np.abs(res.residuals).max() < 1e-6
@@ -279,6 +336,53 @@ def test_central_difference_is_the_exact_hessian_vector_product(m, label, seed):
     scale = max(np.abs(h).max() for h in hvps)
     for h in hvps[1:]:
         assert np.abs(h - hvps[0]).max() <= 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 12),
+       st.lists(st.sampled_from(_SPECS), min_size=1, max_size=4, unique=True),
+       st.integers(0, 2**32 - 1))
+def test_hessian_operator_is_the_weighted_central_difference(m, labels, seed):
+    # the solver's operator v -> sum_i lam_i Hess(rho_i) v, built once per
+    # Newton step, against the central difference of the kernel's gradients
+    # (exact by the test above), on a batch of directions; it is symmetric
+    rng = np.random.default_rng(seed)
+    w = rebalance_marginals(np.exp(0.5 * rng.standard_normal((m, m))))
+    taus = tuple(PatternSpec.parse(label) for label in labels)
+    lam = rng.standard_normal(len(taus))
+    hess = _hessian_operator(w, taus, lam)
+    vs = rng.standard_normal((3, m, m))
+    kvs = [hess(v) for v in vs]
+    for v, kv in zip(vs, kvs):
+        s = w.min() / np.abs(v).max()
+        gp = _densities(w + s * v, taus, True)[1]
+        gm = _densities(w - s * v, taus, True)[1]
+        ref = np.tensordot(lam, gp - gm, axes=1) / (2.0 * s)
+        assert np.abs(kv - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1e-300)
+    for i in range(len(vs)):
+        for j in range(i):
+            scale = np.linalg.norm(vs[i]) * max(np.linalg.norm(kvs[j]),
+                                                np.linalg.norm(kvs[i]), 1e-300)
+            assert abs(np.vdot(vs[i], kvs[j]) - np.vdot(kvs[i], vs[j])) <= 1e-12 * scale
+
+
+def test_kernel_calls_are_the_trial_points(monkeypatch):
+    # Hessian-vector products never call the density kernel: it runs once
+    # for the start and once per trial point the line searches evaluate
+    import permutons.patterns as pat
+
+    real, calls = pat._densities, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pat, "_densities", counted)
+    res = maximize_entropy(ConstraintSet.of(("12", 0.55), ("123", 0.2)), 16)
+    assert res.converged
+    trials = [e["trial_points"] for e in res.history]
+    assert all(t >= 1 for t in trials)
+    assert len(calls) == 2 * (1 + sum(trials))
 
 
 def test_pde_residuals_on_uniform_grid():
