@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float, required=True, help="target density")
     sp.add_argument("--eps", type=float, default=0.05, help="window half-width")
     sp.add_argument("--n", default="50,100,200",
-                    help="comma-separated permutation sizes")
+                    help="comma-separated permutation sizes, each in 2..500")
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.set_defaults(handler=_cmd_ldp)
 

@@ -161,8 +161,10 @@ def _tangent(g: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the tangent space of the marginal polytope:
     remove row means and column means, add back the grand mean.  The last
     axes are the grid; leading axes are a batch."""
-    return (g - g.mean(axis=-1, keepdims=True) - g.mean(axis=-2, keepdims=True)
-            + g.mean(axis=(-2, -1), keepdims=True))
+    ny, nx = g.shape[-2:]
+    # np.mean's own sums and divisions, without its per-call overhead
+    return (g - g.sum(axis=-1, keepdims=True) / nx - g.sum(axis=-2, keepdims=True) / ny
+            + g.sum(axis=(-2, -1), keepdims=True) / (nx * ny))
 
 
 def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-6,

@@ -36,7 +36,7 @@ from collections import Counter
 import numpy as np
 from scipy.special import logsumexp
 
-from .starmodel import mahonian_log_gf
+from .starmodel import _MAHONIAN_MAX_N, _as_int, mahonian_log_gf
 
 
 def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
@@ -77,11 +77,12 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 def ldp_estimate(n: int, rho: float, eps: float) -> float:
     """(1/n) log of the n!-normalized count of permutations with 1 2 density
     within eps of rho (module doc)."""
-    if not 2 <= n <= 500:
-        raise ValueError("n must lie in [2, 500]")
+    n = _as_int(n)
+    if not 2 <= n <= _MAHONIAN_MAX_N:
+        raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     lc = mahonian_log_gf(n)
     total = n * (n - 1) // 2

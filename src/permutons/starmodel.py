@@ -56,6 +56,7 @@ large-deviations checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,39 +181,73 @@ def star12_grid(r: float, m: int) -> GridPermuton:
     return GridPermuton(np.clip(w, 0.0, None))
 
 
+_MAHONIAN_MAX_N = 500
+
+
 def mahonian_log_gf(n: int) -> np.ndarray:
     """log C_i, i = 0..C(n,2): permutations of n by number of 1 2 patterns.
 
     Coefficient DP for prod_{j=0}^{n-1} (1 + z + ... + z^j) in the log
-    domain.  Multiplying by one factor replaces each coefficient with a
-    trailing-window sum, evaluated by blockwise prefix/suffix accumulated
-    log-sum-exp, so the whole DP is O(n * C(n,2)) vector work.
+    domain.  Every factor is palindromic, hence so is every partial
+    product: each stage computes only its left half, as trailing windows of
+    length j + 1 that read no previous entry past it, and mirrors it, so
+    the table is exactly palindromic.  The window sums run in the linear
+    domain on blocks of j + 1 coefficients scaled by their minima
+    (``_window_lse``), so a block sum is at most (j + 1) e^range, range the
+    block's spread in log.  That stays below the largest double for
+    n <= 500: the Mahonian numbers are log-concave and palindromic, so no
+    block spreads more than the first, log C_j <= log binom(2j - 1, j)
+    < j log 4, and 499 log 4 + log 500 < 698 < 709.78.  Larger n raise
+    ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_int(n)
+    if not 1 <= n <= _MAHONIAN_MAX_N:
+        raise ValueError(f"n must lie in [1, {_MAHONIAN_MAX_N}]")
     lc = np.zeros(1)
     for j in range(1, n):
-        lc = _window_lse(np.concatenate([lc, np.full(j, -np.inf)]), j)
+        size = lc.size + j
+        half = _window_lse(lc[:-(-size // 2)], j)
+        lc = np.concatenate([half, half[:size // 2][::-1]])
     return lc
 
 
 def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
-    """out[i] = logsumexp(a[max(0, i-j) .. i]) for windows of length j+1."""
+    """out[i] = logsumexp(a[max(0, i-j) .. i]) for finite a.
+
+    Blocks of L = j + 1 entries are scaled by their minima lo_b, so the
+    small entries lose nothing to cancellation.  The window ending at
+    column c of block b is the strict suffix of block b - 1 after c plus the
+    prefix of block b up to c, both plain cumulative sums of exp(a - lo),
+    added on the common scale max(lo_{b-1}, lo_b).  Sound while L e^range
+    stays below the largest double for every block, range its spread in
+    log (mahonian_log_gf)."""
     L = j + 1
-    n = a.size
-    nblocks = -(-n // L)
-    padded = np.concatenate([a, np.full(nblocks * L - n, -np.inf)]).reshape(nblocks, L)
-    pref = np.logaddexp.accumulate(padded, axis=1).ravel()[:n]
-    suff = np.logaddexp.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()[:n]
-    idx = np.arange(n)
-    start = idx - j
-    out = pref.copy()
-    # a window starting mid-block spans two blocks: suffix of the first plus
-    # prefix of the second; windows at block starts (or truncated at 0) are
-    # pure prefixes because the accumulators reset at block boundaries
-    spans = (start > 0) & (start % L != 0)
-    out[spans] = np.logaddexp(suff[start[spans]], pref[idx[spans]])
-    return out
+    nb = -(-a.size // L)
+    e = np.pad(a, (0, nb * L - a.size), mode="edge").reshape(nb, L)
+    lo = e.min(axis=1)
+    e -= lo[:, None]
+    np.exp(e, out=e)
+    out = np.cumsum(e, axis=1)
+    shift = lo
+    if nb > 1:
+        # strict suffix sums of the previous block: columns c+1 .. L-1
+        suff = np.zeros((nb - 1, L))
+        np.cumsum(e[:-1, :0:-1], axis=1, out=suff[:, -2::-1])
+        shift = np.concatenate([lo[:1], np.maximum(lo[:-1], lo[1:])])
+        suff *= np.exp(lo[:-1] - shift[1:])[:, None]
+        out[1:] *= np.exp(lo[1:] - shift[1:])[:, None]
+        out[1:] += suff
+    np.log(out, out=out)
+    out += shift[:, None]
+    return out.ravel()[:a.size]
+
+
+def _as_int(n) -> int:
+    """n as a Python int (numpy integers included); ValueError otherwise."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
 
 
 @dataclass(frozen=True)

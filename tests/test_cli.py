@@ -341,6 +341,11 @@ def test_ldp_text_and_json(tmp_path, capsys):
                                                  abs=1e-12)
 
 
+def test_ldp_help_states_the_size_range(capsys):
+    assert main(["ldp", "--help"]) == 0
+    assert "2..500" in capsys.readouterr().out
+
+
 def test_pde_check(tmp_path, capsys):
     g = tmp_path / "g.csv"
     main(["star12", "--r", "-2.0", "--grid", "64", "--out", str(g)])

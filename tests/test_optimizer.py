@@ -34,6 +34,7 @@ from permutons import (
     coarsen,
     uniform_grid,
 )
+from permutons.optimizer import _tangent
 from permutons.patterns import _densities, _hessian_operator
 
 
@@ -383,6 +384,16 @@ def test_kernel_calls_are_the_trial_points(monkeypatch):
     trials = [e["trial_points"] for e in res.history]
     assert all(t >= 1 for t in trials)
     assert len(calls) == 2 * (1 + sum(trials))
+
+
+def test_tangent_is_the_mean_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in ((5, 5), (16, 16), (33, 33), (3, 16, 16), (2, 32, 32)):
+        for _ in range(20):
+            g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5)
+            ref = (g - g.mean(axis=-1, keepdims=True) - g.mean(axis=-2, keepdims=True)
+                   + g.mean(axis=(-2, -1), keepdims=True))
+            assert np.array_equal(_tangent(g), ref)
 
 
 def test_pde_residuals_on_uniform_grid():

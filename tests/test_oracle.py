@@ -113,7 +113,10 @@ def test_ldp_estimate_window_can_be_empty():
 
 
 def test_ldp_estimate_input_validation():
-    for n, rho, eps in ((1, 0.4, 0.1), (501, 0.4, 0.1), (100, 0.0, 0.1),
-                        (100, 1.0, 0.1), (100, 0.4, 0.0)):
-        with pytest.raises(ValueError):
+    for n, rho, eps, cause in ((1, 0.4, 0.1, "n must"), (501, 0.4, 0.1, "n must"),
+                               (50.5, 0.4, 0.1, "integer"), ("3", 0.4, 0.1, "integer"),
+                               (100, 0.0, 0.1, "rho"), (100, 1.0, 0.1, "rho"),
+                               (100, 0.4, 0.0, "eps"), (50, 0.4, float("nan"), "eps")):
+        with pytest.raises(ValueError, match=cause):
             ldp_estimate(n, rho, eps)
+    assert ldp_estimate(np.int64(50), 0.4, 0.05) == ldp_estimate(50, 0.4, 0.05)

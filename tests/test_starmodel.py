@@ -157,7 +157,7 @@ def test_mahonian_small_table():
 
 
 def test_mahonian_matches_integer_convolution():
-    for n in (2, 5, 10, 25):
+    for n in (2, 5, 25, 60):
         coeffs = [1]
         for j in range(1, n):
             # multiply by 1 + z + ... + z^j exactly
@@ -168,16 +168,52 @@ def test_mahonian_matches_integer_convolution():
             coeffs = out
         lgf = mahonian_log_gf(n)
         assert lgf.size == len(coeffs) == n * (n - 1) // 2 + 1
-        ref = np.log(np.array(coeffs, dtype=float))
-        assert np.abs(lgf - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+        ref = np.array([math.log(c) for c in coeffs])
+        assert np.abs(lgf - ref).max() <= 1e-13
 
 
 def test_mahonian_total_and_palindrome():
-    for n in (4, 40, 200):
+    for n in (*range(1, 13), 40, 200, 499, 500):
         lgf = mahonian_log_gf(n)
-        from scipy.special import logsumexp
-        assert logsumexp(lgf) == pytest.approx(math.lgamma(n + 1), abs=1e-10)
-        assert np.abs(lgf - lgf[::-1]).max() <= 1e-10
+        assert np.array_equal(lgf, lgf[::-1])
+    from scipy.special import logsumexp
+    for n in (4, 40, 200):
+        assert logsumexp(mahonian_log_gf(n)) == pytest.approx(
+            math.lgamma(n + 1), abs=1e-10)
+    assert logsumexp(mahonian_log_gf(500)) == pytest.approx(
+        math.lgamma(501), abs=1e-12)
+
+
+def test_mahonian_smallest_counts_at_the_cap():
+    # the first block of each stage spans the most in log, so a block
+    # over- or underflow would reach these entries first
+    n = 500
+    lgf = mahonian_log_gf(n)
+    exact = np.log([1, n - 1, n * (n - 1) // 2 - 1, n * (n * n - 7) // 6])
+    assert np.abs(lgf[:4] - exact).max() <= 1e-13
+
+
+def test_mahonian_input_validation():
+    for n in (0, 501, 50.5, "3", 3.0):
+        with pytest.raises(ValueError):
+            mahonian_log_gf(n)
+    assert np.array_equal(mahonian_log_gf(np.int64(30)), mahonian_log_gf(30))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 120), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_window_lse_matches_direct_logsumexp(size, j, seed):
+    from scipy.special import logsumexp
+
+    from permutons.starmodel import _window_lse
+    rng = np.random.default_rng(seed)
+    # log-concave: non-increasing steps, a rise then a fall, spread <= 240
+    steps = np.sort(rng.uniform(-2.0, 2.0, size))[::-1]
+    a = np.cumsum(steps) + rng.uniform(-20.0, 20.0)
+    out = _window_lse(a, j)
+    ref = np.array([logsumexp(a[max(0, i - j):i + 1]) for i in range(size)])
+    assert out.shape == a.shape
+    assert np.abs(out - ref).max() <= 1e-13
 
 
 def star23_model(alpha):
