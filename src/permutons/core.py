@@ -33,10 +33,18 @@ descent, then a staircase of b-step descents arranged along an ascent (the
 b -> 0 limit is a clean ascending diagonal).  The family interpolates between
 the reverse diagonal (a = b = 0) and staircase shapes whose monotone-pattern
 densities trace out nontrivial feasible-region boundaries.
+
+``sample_points`` is the one sampler: it picks a grid cell or a segment for
+each point, then places the point uniformly inside it.  The pick takes the
+same n uniforms as ``Generator.choice(p=...)`` and returns the same indices,
+``searchsorted(cdf, u, side="right")`` on the table that ``choice`` builds,
+so every seeded stream is the one ``choice`` gives; only the search differs
+(a guide table in place of a binary search over the whole table, ``_draw``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,21 +269,63 @@ def coarsen(g: GridPermuton, m2: int) -> GridPermuton:
     return GridPermuton(w)
 
 
+def _as_count(value, name: str) -> int:
+    """value as a Python int (numpy integers included); ValueError for bools
+    and for anything that is not an integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category index of each uniform in u, exactly as Generator.choice.
+
+    ``cdf`` is the table ``choice(p=weights / weights.sum())`` builds, and
+    the result is ``cdf.searchsorted(u, side="right")``.  A guide table of
+    B = 2^ceil(log2 N) buckets (N categories; B is a power of two, so u * B
+    and b / B are exact) starts each point at lo[b] = #{i : cdf[i] <= b / B}
+    for its bucket b = floor(u * B), which is at most its index.  One step
+    resolves almost every point; the rest take the binary search.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    B = 1 << (cdf.size - 1).bit_length()
+    # ceil(cdf[i] * B) is the first bucket b with cdf[i] <= b / B
+    lo = np.bincount(np.ceil(cdf * B).astype(np.intp), minlength=B + 1).cumsum()
+    # cdf[-1] = 1 > b / B, so lo[b] < N and every cdf[idx] below is in range
+    idx = lo[(u * B).astype(np.intp)]
+    idx += cdf[idx] <= u
+    rest = np.flatnonzero(cdf[idx] <= u)
+    if rest.size:
+        idx[rest] = cdf.searchsorted(u[rest], side="right")
+    return idx
+
+
 def sample_points(source: GridPermuton | SegmentPermuton, n: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. points from the permuton: (x array, y array), unsorted."""
+    """n i.i.d. points from the permuton: (x array, y array), unsorted.
+
+    Each point's cell or segment is drawn from rng.random(n) by ``_draw``:
+    the same uniforms and the same indices as ``rng.choice(N, n, p=...)``, so
+    a seeded generator gives the points it gave with ``choice``.  n must be a
+    nonnegative integer (numpy integers included, bools not); n = 0 gives
+    two empty arrays.
+    """
+    n = _as_count(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(source, GridPermuton):
         m = source.m
-        p = source.w.ravel()
-        idx = rng.choice(m * m, size=n, p=p / p.sum())
-        ix, iy = np.divmod(idx, m)
+        ix, iy = np.divmod(_draw(source.w.ravel(), rng.random(n)), m)
         x = (ix + rng.random(n)) / m
         y = (iy + rng.random(n)) / m
         return x, y
     if isinstance(source, SegmentPermuton):
         seg = source.segments
-        mass = seg[:, 4]
-        idx = rng.choice(seg.shape[0], size=n, p=mass / mass.sum())
+        idx = _draw(seg[:, 4], rng.random(n))
         x0, x1, y0, slope = seg[idx, 0], seg[idx, 1], seg[idx, 2], seg[idx, 3]
         x = x0 + (x1 - x0) * rng.random(n)
         y = y0 + slope * (x - x0)

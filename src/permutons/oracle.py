@@ -36,7 +36,8 @@ from collections import Counter
 import numpy as np
 from scipy.special import logsumexp
 
-from .starmodel import _MAHONIAN_MAX_N, _as_int, mahonian_log_gf
+from .core import _as_count
+from .starmodel import _MAHONIAN_MAX_N, mahonian_log_gf
 
 
 def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
@@ -77,7 +78,7 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 def ldp_estimate(n: int, rho: float, eps: float) -> float:
     """(1/n) log of the n!-normalized count of permutations with 1 2 density
     within eps of rho (module doc)."""
-    n = _as_int(n)
+    n = _as_count(n, "n")
     if not 2 <= n <= _MAHONIAN_MAX_N:
         raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")
     if not 0.0 < rho < 1.0:

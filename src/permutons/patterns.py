@@ -58,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, Permutation, SegmentPermuton, sample_permutation, sample_points
+from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, sample_permutation,
+                   sample_points)
 
 # E[(basis_a)(basis_b)] over (u,v) uniform in the unit cell, basis (1,u,v,uv).
 _BIL = np.array([
@@ -404,11 +405,14 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     pattern indicator; the standard error is binomial.  With n_points > k the
     per-trial statistic is pattern_count / C(n_points, k) over a sampled
     permutation of n_points points (lower variance, slower per trial).
+    trials and n_points must be integers (numpy integers included, bools
+    not); anything else raises ValueError.
     """
+    trials = _as_count(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     k = tau.k
-    n_points = k if n_points is None else int(n_points)
+    n_points = k if n_points is None else _as_count(n_points, "n_points")
     if n_points < k:
         raise ValueError("n_points must be at least the pattern length")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

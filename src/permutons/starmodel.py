@@ -56,14 +56,13 @@ large-deviations checks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import spence
 
-from .core import GridPermuton, uniform_grid
+from .core import GridPermuton, _as_count, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
@@ -200,7 +199,7 @@ def mahonian_log_gf(n: int) -> np.ndarray:
     < j log 4, and 499 log 4 + log 500 < 698 < 709.78.  Larger n raise
     ValueError.
     """
-    n = _as_int(n)
+    n = _as_count(n, "n")
     if not 1 <= n <= _MAHONIAN_MAX_N:
         raise ValueError(f"n must lie in [1, {_MAHONIAN_MAX_N}]")
     lc = np.zeros(1)
@@ -240,14 +239,6 @@ def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
     np.log(out, out=out)
     out += shift[:, None]
     return out.ravel()[:a.size]
-
-
-def _as_int(n) -> int:
-    """n as a Python int (numpy integers included); ValueError otherwise."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ cells so their CSV round trip is exact; the identity and reversal grids at
 m = 2 have CDF values 1/2 and 0 at the center node, giving a known L-inf
 distance; coarsening sums cell masses so total mass and marginals are
 preserved bit-for-bit up to summation error; samplers are checked against
-the uniform law with seeded generators and 4-sigma bands.
+the uniform law with seeded generators and 4-sigma bands, and the cell and
+segment draw against the Generator.choice sampler it replaced.
 """
 
 import time
@@ -224,6 +225,98 @@ def test_sample_permutation_tracks_source():
     # sampling the identity permuton must give the identity permutation
     pi = sample_permutation(gamma_ab(1.0, 0.0), 40, seed=8)
     assert np.array_equal(pi.values, np.arange(1, 41))
+
+
+def test_sample_points_rejects_bad_counts():
+    rng = np.random.default_rng(3)
+    for src in (uniform_grid(3), gamma_ab(0.7, 0.2)):
+        for bad in (-1, 2.5, 3.0, "4", True, np.bool_(True)):
+            with pytest.raises(ValueError, match="n must"):
+                sample_points(src, bad, rng)
+        x, y = sample_points(src, 0, rng)
+        assert x.shape == y.shape == (0,)
+        assert x.dtype == y.dtype == np.float64
+        x, y = sample_points(src, np.int64(5), rng)
+        assert x.shape == (5,)
+
+
+# cell masses from 1e-12 to 1 (mantissa times a power of ten), and empty cells
+_masses = st.one_of(
+    st.just(0.0),
+    st.tuples(st.floats(1.0, 9.99), st.integers(-12, 0)).map(lambda t: min(t[0] * 10.0 ** t[1], 1.0)))
+
+
+def _choice_points(source, n, rng):
+    """The points sample_points gave when it drew cells and segments with
+    Generator.choice: the reference stream it must keep."""
+    if isinstance(source, GridPermuton):
+        m = source.m
+        p = source.w.ravel()
+        ix, iy = np.divmod(rng.choice(m * m, size=n, p=p / p.sum()), m)
+        return (ix + rng.random(n)) / m, (iy + rng.random(n)) / m
+    seg = source.segments
+    mass = seg[:, 4]
+    idx = rng.choice(seg.shape[0], size=n, p=mass / mass.sum())
+    x = seg[idx, 0] + (seg[idx, 1] - seg[idx, 0]) * rng.random(n)
+    return x, seg[idx, 2] + seg[idx, 3] * (x - seg[idx, 0])
+
+
+def _mixed_grid(m, weights, rng):
+    """Mixture of random permutation matrices: empty cells when there are
+    fewer weights than m, and cell masses spanning the weights' range."""
+    a = np.array(weights) / sum(weights)
+    w = np.zeros((m, m))
+    for ak in a:
+        w[np.arange(m), rng.permutation(m)] += ak / m
+    return GridPermuton(w)
+
+
+def _diagonal_segments(weights):
+    """Segments with the given masses (zeros included, in the given order):
+    positive masses tile the diagonal, each over an x-range of exactly its
+    mass, and zero masses lie on the anti-diagonal."""
+    pos = [v for v in weights if v > 0]
+    c = np.concatenate([[0.0], np.cumsum(pos) / sum(pos)])
+    c[-1] = 1.0
+    rows, k = [], 0
+    for v in weights:
+        if v > 0:
+            rows.append((c[k], c[k + 1], c[k], 1.0, c[k + 1] - c[k]))
+            k += 1
+        else:
+            rows.append((0.0, 1.0, 1.0, -1.0, 0.0))
+    return SegmentPermuton(np.array(rows))
+
+
+def test_draw_breaks_ties_as_choice():
+    # a uniform equal to a CDF value or to a bucket edge b / B picks the
+    # index searchsorted(side="right") picks; random uniforms almost never
+    # hit these ties, so they are placed here by hand
+    from permutons.core import _draw
+    w = np.array([0.0, 0.25, 0.0, 0.0, 0.125, 0.125, 0.5, 0.0, 1e-12])
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([cdf[cdf < 1.0], np.arange(16) / 16, [np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(_draw(w, u), cdf.searchsorted(u, side="right"))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(_masses, min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
+       st.integers(1, 9), st.sampled_from(["zero", "one", "below", "above"]),
+       st.integers(0, 2**32 - 1))
+def test_sample_points_draws_what_choice_draws(weights, m, size, seed):
+    # same seed, same points and same generator state afterwards as the
+    # Generator.choice sampler, on grids and on segments
+    rng = np.random.default_rng(seed)
+    sources = (_mixed_grid(m, [v for v in weights if v > 0], rng), _diagonal_segments(weights))
+    for src in sources:
+        N = src.m ** 2 if isinstance(src, GridPermuton) else src.segments.shape[0]
+        n = {"zero": 0, "one": 1, "below": max(N // 2, 1), "above": 3 * N + 7}[size]
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, y = sample_points(src, n, r1)
+        xr, yr = _choice_points(src, n, r2)
+        assert np.array_equal(x, xr) and np.array_equal(y, yr)
+        assert r1.bit_generator.state == r2.bit_generator.state
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

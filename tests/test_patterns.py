@@ -385,6 +385,21 @@ def test_mc_density_seeded_reproducible():
                       n_points=8).value == 0.10491071428571427
 
 
+def test_mc_density_rejects_bad_counts():
+    g, tau = uniform_grid(3), PatternSpec.parse("12")
+    for bad in (2.5, 3.0, "10", True, np.bool_(True)):
+        with pytest.raises(ValueError, match="trials must"):
+            density_mc(g, tau, bad, 1)
+    for bad in (2.7, 4.0, "3", True):
+        with pytest.raises(ValueError, match="n_points must"):
+            density_mc(g, tau, 10, 1, n_points=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least one trial"):
+            density_mc(g, tau, bad, 1)
+    est = density_mc(g, tau, np.int64(10), 1, n_points=np.int64(4))
+    assert est.trials == 10 and type(est.trials) is int
+
+
 def test_pattern_spec_parsing_and_errors():
     assert PatternSpec.parse("132").values == (1, 3, 2)
     assert PatternSpec.parse("*2").star == (2, 2)

@@ -194,7 +194,7 @@ def test_mahonian_smallest_counts_at_the_cap():
 
 
 def test_mahonian_input_validation():
-    for n in (0, 501, 50.5, "3", 3.0):
+    for n in (0, 501, 50.5, "3", 3.0, True):
         with pytest.raises(ValueError):
             mahonian_log_gf(n)
     assert np.array_equal(mahonian_log_gf(np.int64(30)), mahonian_log_gf(30))
