@@ -39,7 +39,10 @@ each point, then places the point uniformly inside it.  The pick takes the
 same n uniforms as ``Generator.choice(p=...)`` and returns the same indices,
 ``searchsorted(cdf, u, side="right")`` on the table that ``choice`` builds,
 so every seeded stream is the one ``choice`` gives; only the search differs
-(a guide table in place of a binary search over the whole table, ``_draw``).
+(a guide table in place of a binary search over the whole table, ``_draw``,
+for fewer than 2^31 categories).  ``_Sampler`` holds that table for one
+source, so a caller that draws many times from one source builds it once:
+``sample_permutation`` and the subset estimator of ``patterns.density_mc``.
 """
 
 from __future__ import annotations
@@ -280,57 +283,125 @@ def _as_count(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category index of each uniform in u, exactly as Generator.choice.
+def _guide(weights: np.ndarray):
+    """The table ``_lookup`` draws from: (cdf, lo, B) for the categories of
+    ``weights``.
 
-    ``cdf`` is the table ``choice(p=weights / weights.sum())`` builds, and
-    the result is ``cdf.searchsorted(u, side="right")``.  A guide table of
-    B = 2^ceil(log2 N) buckets (N categories; B is a power of two, so u * B
-    and b / B are exact) starts each point at lo[b] = #{i : cdf[i] <= b / B}
-    for its bucket b = floor(u * B), which is at most its index.  One step
-    resolves almost every point; the rest take the binary search.
+    ``cdf`` is the table ``choice(p=weights / weights.sum())`` builds.  The
+    guide has B = 2^ceil(log2 N) buckets (N categories; B is a power of two,
+    so u * B and b / B are exact), and lo[b] = #{i : cdf[i] <= b / B}.  N
+    must be below 2^31, so that every bucket index fits in int32.
     """
+    if weights.size >= 1 << 31:
+        raise ValueError(f"at most 2^31 - 1 categories, got {weights.size}")
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     B = 1 << (cdf.size - 1).bit_length()
     # ceil(cdf[i] * B) is the first bucket b with cdf[i] <= b / B
     lo = np.bincount(np.ceil(cdf * B).astype(np.intp), minlength=B + 1).cumsum()
+    return cdf, lo, B
+
+
+def _lookup(table, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` through the guide table.
+
+    Each point starts at lo[b] for its bucket b = floor(u * B), which is at
+    most its index.  One step resolves almost every point; the rest take the
+    binary search.
+    """
+    cdf, lo, B = table
+    # u * B < B <= 2^31, and the int32 conversion vectorizes where the
+    # int64 one does not
+    idx = lo.take((u * B).astype(np.int32))
     # cdf[-1] = 1 > b / B, so lo[b] < N and every cdf[idx] below is in range
-    idx = lo[(u * B).astype(np.intp)]
-    idx += cdf[idx] <= u
-    rest = np.flatnonzero(cdf[idx] <= u)
+    idx += cdf.take(idx) <= u
+    rest = np.flatnonzero(cdf.take(idx) <= u)
     if rest.size:
         idx[rest] = cdf.searchsorted(u[rest], side="right")
     return idx
+
+
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category index of each uniform in u, exactly as Generator.choice:
+    ``cdf.searchsorted(u, side="right")`` on the table ``choice`` builds.
+    Fewer than 2^31 categories (ValueError otherwise)."""
+    return _lookup(_guide(weights), u)
+
+
+class _Sampler:
+    """``sample_points`` for one source, its draw table built once.
+
+    A grid keeps the guide table of its m^2 cells; a segment permuton keeps
+    the guide table of its masses and contiguous x0, x1 - x0, y0 and slope
+    columns.  ``points`` builds x and y in place on the uniform arrays it
+    draws, with the arithmetic of x = (ix + U) / m, or of
+    x = x0 + (x1 - x0) U and y = y0 + slope (x - x0), in that order.
+    """
+
+    def __init__(self, source: GridPermuton | SegmentPermuton):
+        if isinstance(source, GridPermuton):
+            self.m = source.m
+            self.table = _guide(source.w.ravel())
+        elif isinstance(source, SegmentPermuton):
+            seg = source.segments
+            self.m = None
+            self.table = _guide(seg[:, 4])
+            self.x0, self.y0, self.slope = (np.ascontiguousarray(seg[:, c]) for c in (0, 2, 3))
+            self.dx = seg[:, 1] - seg[:, 0]
+        else:
+            raise TypeError(f"unsupported permuton source {type(source).__name__}")
+
+    def points(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        m = self.m
+        if m is not None:
+            # cells < m^2 < 2^31; int32 division vectorizes, int64 division
+            # does not (the int64 indices are freed before x and y are drawn)
+            ix, iy = np.divmod(_lookup(self.table, rng.random(n)).astype(np.int32), m)
+            x = rng.random(n)
+            x += ix
+            x /= m
+            y = rng.random(n)
+            y += iy
+            y /= m
+            return x, y
+        idx = _lookup(self.table, rng.random(n))
+        x0 = self.x0.take(idx)
+        x = rng.random(n)
+        x *= self.dx.take(idx)
+        x += x0
+        y = np.subtract(x, x0, out=x0)
+        y *= self.slope.take(idx)
+        y += self.y0.take(idx)
+        return x, y
+
+    def ranks(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The pattern of n points as 0-based y-ranks in x order; points
+        with a tied coordinate are drawn again (at most 64 times)."""
+        for _ in range(64):
+            x, y = self.points(n, rng)
+            ox, oy = np.argsort(x), np.argsort(y)
+            xs, ys = x[ox], y[oy]
+            if not ((xs[1:] == xs[:-1]).any() or (ys[1:] == ys[:-1]).any()):
+                ry = np.empty(n, dtype=np.intp)
+                ry[oy] = np.arange(n)
+                return ry[ox]
+        raise RuntimeError("persistent coordinate ties while sampling")
 
 
 def sample_points(source: GridPermuton | SegmentPermuton, n: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. points from the permuton: (x array, y array), unsorted.
 
-    Each point's cell or segment is drawn from rng.random(n) by ``_draw``:
+    Each point's cell or segment is drawn from rng.random(n) as ``_draw`` draws:
     the same uniforms and the same indices as ``rng.choice(N, n, p=...)``, so
-    a seeded generator gives the points it gave with ``choice``.  n must be a
-    nonnegative integer (numpy integers included, bools not); n = 0 gives
-    two empty arrays.
+    a seeded generator gives the points it gave with ``choice``.  The draw
+    table is built on every call.  n must be a nonnegative integer (numpy
+    integers included, bools not); n = 0 gives two empty arrays.
     """
     n = _as_count(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if isinstance(source, GridPermuton):
-        m = source.m
-        ix, iy = np.divmod(_draw(source.w.ravel(), rng.random(n)), m)
-        x = (ix + rng.random(n)) / m
-        y = (iy + rng.random(n)) / m
-        return x, y
-    if isinstance(source, SegmentPermuton):
-        seg = source.segments
-        idx = _draw(seg[:, 4], rng.random(n))
-        x0, x1, y0, slope = seg[idx, 0], seg[idx, 1], seg[idx, 2], seg[idx, 3]
-        x = x0 + (x1 - x0) * rng.random(n)
-        y = y0 + slope * (x - x0)
-        return x, y
-    raise TypeError(f"unsupported permuton source {type(source).__name__}")
+    return _Sampler(source).points(n, rng)
 
 
 def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
@@ -340,17 +411,14 @@ def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
     Points are sorted by x; the output one-line values are the ranks of the
     corresponding y values.  Ties (probability zero in exact arithmetic, and
     possible only through floating-point collisions) trigger a fresh draw.
+    The draw table is built once per call, not once per draw; each draw
+    takes the uniforms ``sample_points`` takes, and one argsort per axis
+    ranks the points and finds the ties.
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(64):
-        x, y = sample_points(source, n, rng)
-        if np.unique(x).size == n and np.unique(y).size == n:
-            order = np.argsort(x)
-            ranks = np.argsort(np.argsort(y[order])) + 1
-            return Permutation(ranks)
-    raise RuntimeError("persistent coordinate ties while sampling")
+    return Permutation(_Sampler(source).ranks(n, rng) + 1)
 
 
 def gamma_ab(a: float, b: float) -> SegmentPermuton:

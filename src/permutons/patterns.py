@@ -46,8 +46,13 @@ densities from one ``densities`` call.
 
 Monte Carlo densities draw k points per trial (vectorized across trials) and
 report the binomial standard error.  One matcher, ``_matches``, decides
-whether k points realize a pattern, for these trials, for ``pattern_count``
-and for the staircase sweep in ``regions``; it ranks by pairwise comparison.
+which rows of k points realize a pattern, for these trials, for
+``pattern_count`` and for the staircase sweep in ``regions``; it ranks by
+pairwise comparison, in the narrowest integer type that holds k.  The
+subset estimator (``n_points > k``) builds the sampling table once per call,
+draws each trial as ``sample_permutation`` does, and counts the C(n, k)
+subsets of many trials in one blocked pass (``_subset_counts``), of which
+``pattern_count`` is the one-permutation case.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, sample_permutation,
+from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, _Sampler,
                    sample_points)
 
 # E[(basis_a)(basis_b)] over (u,v) uniform in the unit cell, basis (1,u,v,uv).
@@ -86,6 +91,8 @@ class PatternSpec:
             raise ValueError("specify exactly one of explicit values or star class")
         if self.values is not None:
             v = tuple(int(x) for x in self.values)
+            if not v:
+                raise ValueError("a pattern needs at least one symbol")
             if sorted(v) != list(range(1, len(v) + 1)):
                 raise ValueError(f"pattern {v} is not a bijection on 1..k")
             object.__setattr__(self, "values", v)
@@ -161,34 +168,57 @@ def pattern_count(pi: Permutation, tau: PatternSpec) -> int:
     n, k = pi.n, tau.k
     if k > n:
         raise ValueError(f"pattern length {k} exceeds permutation length {n}")
-    subsets = itertools.combinations(range(n), k)
-    count = 0
-    while (idx := np.fromiter(itertools.islice(subsets, 1 << 16), (np.intp, k))).size:
-        count += _matches(idx, pi.values[idx], tau)
-    return count
+    return int(_subset_counts(pi.values[None, :], tau)[0])
 
 
-def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> int:
-    """Number of rows of k points (x[r, :], y[r, :]), in any order, realizing tau.
+def _subset_counts(values: np.ndarray, tau: PatternSpec) -> np.ndarray:
+    """Per row of ``values`` (trials, n), the number of column k-subsets
+    whose values realize tau.
 
-    Ranks come from one comparison per pair of columns, no sort; ties rank
-    the earlier column lower, so every row's ranks form a permutation.  The
-    point of x-rank a must have y-rank tau[a]; for a star class *...*l only
-    the point of x-rank k is checked, against y-rank l.
+    One blocked pass over the C(n, k) subsets serves every row: a block
+    holds about 2^16 / trials subsets, so about 2^16 (row, subset) pairs,
+    and the x-ranks of a block's index subsets are shared by all rows.
     """
-    k = x.shape[1]
-    zero = np.zeros(x.shape[0], dtype=np.intp)
-    rx, ry = [zero] * k, [zero] * k
+    trials, n = values.shape
+    k = tau.k
+    subsets = itertools.combinations(range(n), k)
+    block = max(1, (1 << 16) // trials)
+    counts = np.zeros(trials, dtype=np.intp)
+    while (idx := np.fromiter(itertools.islice(subsets, block), (np.intp, k))).size:
+        counts += np.count_nonzero(_matches(idx, values[:, idx], tau), axis=1)
+    return counts
+
+
+def _ranks(z: np.ndarray, dtype) -> list[np.ndarray]:
+    """Rank of each point z[..., c] among the k points z[..., :], one
+    comparison per pair and no sort; ties rank the earlier point lower, so
+    the ranks of every k points form a permutation."""
+    k = z.shape[-1]
+    zero = np.zeros(z.shape[:-1], dtype=dtype)
+    rank = [zero] * k
     for i, j in itertools.combinations(range(k), 2):
-        for z, rank in ((x, rx), (y, ry)):
-            below = z[:, i] <= z[:, j]
-            rank[j] = rank[j] + below
-            rank[i] = rank[i] + ~below
+        below = z[..., i] <= z[..., j]
+        rank[j] = rank[j] + below
+        rank[i] = rank[i] + ~below
+    return rank
+
+
+def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> np.ndarray:
+    """Which sets of k points (x[..., :], y[..., :]), in any order, realize
+    tau: a boolean mask, the leading axes of x and y broadcast together.
+
+    The point of x-rank a must have y-rank tau[a]; for a star class *...*l
+    only the point of x-rank k is checked, against y-rank l.  Ranks
+    (``_ranks``) are held in the narrowest integer type that holds k.
+    """
+    k = y.shape[-1]
+    dtype = np.min_scalar_type(k)
+    rx, ry = _ranks(x, dtype), _ranks(y, dtype)
     if tau.star is not None:
         ell = tau.star[1]
-        return int(np.count_nonzero([(a == k - 1) & (b == ell - 1) for a, b in zip(rx, ry)]))
-    want = np.asarray(tau.values) - 1
-    return int(np.count_nonzero(np.all([b == want[a] for a, b in zip(rx, ry)], axis=0)))
+        return np.any([(a == k - 1) & (b == ell - 1) for a, b in zip(rx, ry)], axis=0)
+    want = np.asarray(tau.values, dtype=dtype) - 1
+    return np.all([b == want.take(a) for a, b in zip(rx, ry)], axis=0)
 
 
 def _prefix(w: np.ndarray) -> np.ndarray:
@@ -404,7 +434,12 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     With n_points = k (default) each trial draws k points and records the 0/1
     pattern indicator; the standard error is binomial.  With n_points > k the
     per-trial statistic is pattern_count / C(n_points, k) over a sampled
-    permutation of n_points points (lower variance, slower per trial).
+    permutation of n_points points (lower variance, slower per trial).  That
+    estimator builds the sampler's table once per call, draws each trial's
+    permutation from the uniforms ``sample_permutation`` would take, and
+    counts the subsets of about 2^16 / C(n_points, k) trials at a time in one
+    blocked pass, so its value and stderr are those of a loop over
+    ``sample_permutation`` and ``pattern_count``.
     trials and n_points must be integers (numpy integers included, bools
     not); anything else raises ValueError.
     """
@@ -421,16 +456,20 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
         for done in range(0, trials, 200_000):
             t = min(200_000, trials - done)
             x, y = sample_points(source, t * k, rng)
-            hits += _matches(x.reshape(t, k), y.reshape(t, k), tau)
+            hits += int(np.count_nonzero(_matches(x.reshape(t, k), y.reshape(t, k), tau)))
         value = hits / trials
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / trials)
         return DensityEstimate(value, stderr, trials)
-    # subset-averaged estimator
+    # subset-averaged estimator: the draws of sample_permutation, from one
+    # table; the counts of pattern_count, for about 2^16 (trial, subset)
+    # pairs at a time
+    sampler = _Sampler(source)
     total = math.comb(n_points, k)
+    chunk = max(1, (1 << 16) // total)
     vals = np.empty(trials)
-    for t in range(trials):
-        pi = sample_permutation(source, n_points, rng)
-        vals[t] = pattern_count(pi, tau) / total
+    for done in range(0, trials, chunk):
+        ranks = np.array([sampler.ranks(n_points, rng) for _ in range(min(chunk, trials - done))])
+        vals[done:done + len(ranks)] = _subset_counts(ranks, tau) / total
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return DensityEstimate(value, stderr, trials)

@@ -136,9 +136,9 @@ def gamma_ab_sweep(a_samples, b_fractions, mc_trials: int,
             t = min(250_000, mc_trials - done)
             x, y = sample_points(perm, 3 * t, rng)
             x, y = x.reshape(t, 3), y.reshape(t, 3)
-            hits123 += _matches(x, y, asc3)
+            hits123 += int(np.count_nonzero(_matches(x, y, asc3)))
             # rho_12 must use an unsorted pair: the two x-smallest of three
             # points are not an i.i.d. pair, so reuse the raw first two draws
-            hits12 += _matches(x[:, :2], y[:, :2], asc2)
+            hits12 += int(np.count_nonzero(_matches(x[:, :2], y[:, :2], asc2)))
         rows[i] = (a, b, hits12 / mc_trials, hits123 / mc_trials)
     return rows

@@ -55,6 +55,7 @@ large-deviations checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -281,10 +282,15 @@ class StarSolution:
     newton_iterations: int
 
 
+@functools.lru_cache(maxsize=None)
 def _gl01(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], read-only and computed
+    once per n (``leggauss`` takes milliseconds at a hundred nodes)."""
     z, w = leggauss(n)
-    return 0.5 * (z + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (z + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
@@ -295,8 +301,8 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     terms cancel exactly in this form), grad_i = int <phi_i> dx, and
     hess_ij = int Cov(phi_i, phi_j) dx.
     """
-    xg, xw = _gl01(nquad)
-    ug, uw = _gl01(nquad)
+    # x and u share one rule
+    xg, xw = ug, uw = _gl01(nquad)
     k = len(exponents)
     # phi_i(t = x u, x) = x^{r+s} u^r (1-u)^s / (r! s!)
     phi = np.empty((k, nquad, nquad))

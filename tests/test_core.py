@@ -300,6 +300,24 @@ def test_draw_breaks_ties_as_choice():
     assert np.array_equal(_draw(w, u), cdf.searchsorted(u, side="right"))
 
 
+def test_draw_on_a_large_table_is_searchsorted():
+    # 512 x 512 cells, B = 2^18 buckets: random uniforms, every bucket edge
+    # b / B and the largest uniform below 1
+    from permutons.core import _draw
+    rng = np.random.default_rng(3)
+    w = rng.random(512 * 512)
+    w[rng.random(w.size) < 0.3] = 0.0
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([rng.random(10 ** 5), np.arange(1 << 18) / (1 << 18),
+                        [np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(_draw(w, u), cdf.searchsorted(u, side="right"))
+    # bucket indices are int32: 2^31 categories are refused up front (a
+    # broadcast view, so nothing of that size is allocated)
+    with pytest.raises(ValueError, match="categories"):
+        _draw(np.broadcast_to(1.0, (1 << 31,)), u)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.lists(_masses, min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
        st.integers(1, 9), st.sampled_from(["zero", "one", "below", "above"]),

@@ -379,10 +379,23 @@ def test_mc_density_seeded_reproducible():
             est = density_mc(src, PatternSpec.parse(lab), 20000, seed)
             assert est.value == hits / 20000
     # the subset estimator averages pattern_count over sampled permutations
-    assert density_mc(sources["grid"], PatternSpec.parse("132"), 40, 9,
-                      n_points=8).value == 0.12008928571428572
-    assert density_mc(sources["segments"], PatternSpec.parse("132"), 40, 9,
-                      n_points=8).value == 0.10491071428571427
+    pinned = {"grid": (0.12008928571428572, 0.014167717528820655),
+              "segments": (0.10491071428571427, 0.015467217478356053)}
+    for name, src in sources.items():
+        est = density_mc(src, PatternSpec.parse("132"), 40, 9, n_points=8)
+        assert (est.value, est.stderr) == pinned[name]
+
+
+def test_subset_counts_match_pattern_count():
+    # 20 permutations of 40 share one pass over the C(40, 3) = 9880 subsets,
+    # in four blocks of about 2^16 / 20 subsets
+    from permutons.patterns import _subset_counts
+    rng = np.random.default_rng(17)
+    values = np.array([rng.permutation(40) for _ in range(20)])
+    for lab in ("123", "132", "312", "**1", "**2", "**3"):
+        tau = PatternSpec.parse(lab)
+        each = [pattern_count(Permutation(row + 1), tau) for row in values]
+        assert _subset_counts(values, tau).tolist() == each
 
 
 def test_mc_density_rejects_bad_counts():
@@ -407,5 +420,8 @@ def test_pattern_spec_parsing_and_errors():
     for bad in ("", "14", "103", "1*2", "*", "*5"):
         with pytest.raises(ValueError):
             PatternSpec.parse(bad)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            PatternSpec.explicit(empty)
     with pytest.raises(ValueError):
         density_grid_exact(uniform_grid(3), PatternSpec.parse("2413"))
