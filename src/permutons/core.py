@@ -510,7 +510,14 @@ def grid_from_csv(text: str) -> GridPermuton:
     if not lines or not lines[0].startswith("m="):
         raise ValueError("grid CSV must start with a 'm=<int>' header line")
     m = int(lines[0][2:])
+    if m < 1:
+        raise ValueError(f"grid CSV header gives m={m}; m must be >= 1")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} data rows, found {len(lines) - 1}")
-    w = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    w = np.empty((m, m))
+    for i, ln in enumerate(lines[1:]):
+        row = ln.split(",")
+        if len(row) != m:
+            raise ValueError(f"data row {i + 1} has {len(row)} entries, expected m={m}")
+        w[i] = [float(v) for v in row]
     return GridPermuton(w)

@@ -27,10 +27,10 @@ marginals restored by alternating row/column rescaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .core import GridPermuton, MARGINAL_TOL, coarsen, rebalance_marginals
 
@@ -44,8 +44,9 @@ class HeatFlowSpec:
     k_max: int | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("diffusion time must be nonnegative")
+        # NaN and inf pass a plain t < 0 test and make exp(-t * 0) NaN
+        if not 0 <= self.t < math.inf:
+            raise ValueError("diffusion time must be finite and nonnegative")
         for c in (self.j_max, self.k_max):
             if c is not None and c < 1:
                 raise ValueError("mode cutoffs must be >= 1")
@@ -78,6 +79,8 @@ def riemann_refinement(g: GridPermuton, levels) -> list[tuple[int, float]]:
 
 def heat_flow(g: GridPermuton, spec: HeatFlowSpec) -> GridPermuton:
     """Damp cosine modes by exp(-(j^2+k^2) t), clip, and rebalance."""
+    from scipy.fft import dctn, idctn
+
     m = g.m
     d = g.density()
     c = dctn(d, norm="ortho")

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import GridPermuton, cdf, rebalance_marginals
 from .starmodel import _FLAT_RATE
@@ -250,6 +249,8 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         Xu, iu = np.unique(X[c, :qc.size], return_index=True)
         qu = qc[iu]
         if Xu.size >= 3:
+            from scipy.interpolate import PchipInterpolator
+
             interp = PchipInterpolator(Xu, qu)
             colcdf = np.asarray(interp(np.clip(edges, Xu[0], Xu[-1])))
         else:

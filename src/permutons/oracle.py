@@ -34,7 +34,6 @@ import math
 from collections import Counter
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import _as_count
 from .starmodel import _MAHONIAN_MAX_N, mahonian_log_gf
@@ -78,6 +77,8 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 def ldp_estimate(n: int, rho: float, eps: float) -> float:
     """(1/n) log of the n!-normalized count of permutations with 1 2 density
     within eps of rho (module doc)."""
+    from scipy.special import logsumexp
+
     n = _as_count(n, "n")
     if not 2 <= n <= _MAHONIAN_MAX_N:
         raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import spence
 
 from .core import GridPermuton, _as_count, uniform_grid
 
@@ -88,7 +87,13 @@ class ConvergenceError(RuntimeError):
 
 def _li2(z: float) -> float:
     """Real dilogarithm Li2(z) for z <= 1."""
+    from scipy.special import spence
+
     return float(spence(1.0 - z))
+
+
+def _rate_error(r: float) -> ValueError:
+    return ValueError(f"rate r = {r:g} outside the range where r^2 is finite")
 
 
 def star12_rho(r: float) -> float:
@@ -96,7 +101,7 @@ def star12_rho(r: float) -> float:
     r = float(r)
     # NaN would recurse through the reflection below without end
     if not math.isfinite(r * r):
-        raise ValueError(f"rate r = {r:g} outside the range where r^2 is finite")
+        raise _rate_error(r)
     if abs(r) < _SERIES_SWITCH:
         return 0.5 - r / 18 + r ** 3 / 1800 - r ** 5 / 105840 + r ** 7 / 5443200
     if r < 0:
@@ -109,6 +114,8 @@ def star12_rho(r: float) -> float:
 def star12_entropy(r: float) -> float:
     """Entropy H(r) of the model permuton; even in r, maximal H(0) = 0."""
     r = float(r)
+    if not math.isfinite(r):
+        raise _rate_error(r)
     if abs(r) < _SERIES_SWITCH:
         return -r ** 2 / 72 + r ** 4 / 4800 - r ** 6 / 254016 + r ** 8 / 12441600
     r = -abs(r)
@@ -170,6 +177,11 @@ def star12_grid(r: float, m: int) -> GridPermuton:
     and G(1, y) = y hold to rounding in the expm1 evaluation.  |r| < 1e-100
     returns the uniform grid outright so its entropy is exactly 0.
     """
+    m = _as_count(m, "m")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not math.isfinite(r):
+        raise _rate_error(r)
     if abs(r) < _FLAT_RATE:
         return uniform_grid(m)
     edges = np.linspace(0.0, 1.0, m + 1)

@@ -272,6 +272,23 @@ def test_heatflow_reports_entropy_gain(tmp_path, capsys):
         pytest.approx(after, abs=1e-12)
 
 
+def test_heatflow_rejects_non_finite_time(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    main(["star12", "--r", "-4.0", "--grid", "8", "--out", str(g)])
+    capsys.readouterr()
+    for t in ("nan", "inf"):
+        assert main(["heatflow", "--in", str(g), "--t", t]) == 2
+        err = capsys.readouterr().err
+        assert "diffusion time must be finite and nonnegative" in err
+
+
+def test_malformed_grid_csv_exits_2_naming_the_row(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("m=2\n0.5,0\n0,0.5,0\n")
+    assert main(["entropy", "--in", str(bad)]) == 2
+    assert "data row 2 has 3 entries, expected m=2" in capsys.readouterr().err
+
+
 def test_insertion_extract_then_reconstruct(tmp_path, capsys):
     g = tmp_path / "g.csv"
     main(["star12", "--r", "-2.0", "--grid", "32", "--out", str(g)])

@@ -348,3 +348,14 @@ def test_grid_csv_round_trip(m, seed):
     assert np.array_equal(back.w, g.w)
     with pytest.raises(ValueError):
         grid_from_csv("m=3\n1,2\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("m=2\n0.5,0\n0,0.5,0\n", "data row 2 has 3 entries, expected m=2"),
+    ("m=2\n0.5\n0,0.5\n", "data row 1 has 1 entries, expected m=2"),
+    ("m=0\n", "m=0; m must be >= 1"),
+    ("m=-1\n", "m=-1; m must be >= 1"),
+])
+def test_grid_csv_malformed_names_the_problem(text, match):
+    with pytest.raises(ValueError, match=match):
+        grid_from_csv(text)

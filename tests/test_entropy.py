@@ -138,8 +138,10 @@ def test_heat_flow_mode_cutoff():
 
 
 def test_heat_flow_spec_validation():
-    with pytest.raises(ValueError):
-        HeatFlowSpec(-0.1)
+    # NaN and inf once passed and failed later on the flowed cell masses
+    for t in (-0.1, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="diffusion time must be finite and nonnegative"):
+            HeatFlowSpec(t)
     with pytest.raises(ValueError):
         HeatFlowSpec(0.0, j_max=0)
     HeatFlowSpec(0.0, j_max=3, k_max=None)

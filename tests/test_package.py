@@ -5,7 +5,15 @@ left in the export table after its definition is gone fails only when
 someone touches it; the first test touches them all.  The CLI pins the
 BLAS thread-count variables for ``--threads`` before numpy initializes,
 which works only while importing the package and the CLI module does not
-import numpy; the second test checks that in a fresh interpreter.
+import numpy; the second test checks that in a fresh interpreter.  The
+package's modules import no scipy subpackage at module level either: the
+four functions that need one (``heat_flow``: ``scipy.fft``; the monotone
+cubic branch of ``reconstruct``: ``scipy.interpolate``; ``ldp_estimate``
+and the dilogarithm behind ``star12_rho``/``star12_entropy``:
+``scipy.special``) import it on their first call, so a process that never
+calls them, such as ``permutons optimize``, does not pay about half a
+second of start-up for them.  The third test checks both halves of that in
+a fresh interpreter.
 """
 
 import os
@@ -23,12 +31,48 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_package_and_cli_import_without_numpy():
+def _fresh(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, permutons, permutons.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_package_and_cli_import_without_numpy():
+    out = _fresh("import sys, permutons, permutons.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+COLD_START = """
+import contextlib, io, math, sys
+from permutons import (core, patterns, entropy, insertion, starmodel,
+                       optimizer, regions, oracle, cli)
+
+def report(value=0.0):
+    assert math.isfinite(value), value
+    print(sorted(n for n in ("scipy.fft", "scipy.interpolate", "scipy.special")
+                 if n in sys.modules))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["optimize", "--constraints", "12=0.3", "--grid", "16"]) == 0
+report()
+report(starmodel.star12_entropy(-2.0))
+report(oracle.ldp_estimate(40, 0.4, 0.05))
+report(entropy.entropy_grid(
+    entropy.heat_flow(starmodel.star12_grid(-2.0, 16), entropy.HeatFlowSpec(0.05))))
+# 8 output cells take 65 chunk boundaries per column: the monotone cubic branch
+report(insertion.reconstruct(insertion.star12_family(-1.0, 8, 16), 8).correction)
+"""
+
+
+def test_scipy_subpackages_load_only_in_the_functions_that_call_them():
+    # scipy.fft loads scipy.special, and scipy.interpolate loads both
+    assert _fresh(COLD_START).splitlines() == [
+        "[]",
+        "['scipy.special']",
+        "['scipy.special']",
+        "['scipy.fft', 'scipy.special']",
+        "['scipy.fft', 'scipy.interpolate', 'scipy.special']",
+    ]

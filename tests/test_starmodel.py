@@ -90,6 +90,22 @@ def test_r_from_rho_round_trip():
         star12_rho(math.nan)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: star12_entropy(math.nan), "range"),
+    (lambda: star12_entropy(math.inf), "range"),
+    (lambda: star12_entropy(-math.inf), "range"),
+    (lambda: star12_grid(math.nan, 4), "range"),
+    (lambda: star12_grid(math.inf, 4), "range"),
+    (lambda: star12_grid(1.0, 0), "m must be >= 1"),
+    (lambda: star12_grid(0.0, -2), "m must be >= 1"),
+    (lambda: star12_grid(1.0, 4.0), "integer"),
+])
+def test_closed_forms_reject_bad_inputs(call, match):
+    # each once returned NaN or failed inside math or numpy instead
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_density_quadrature_recovers_rho_and_entropy():
     x, wq = gl_nodes()
     X, Y = np.meshgrid(x, x, indexing="ij")
