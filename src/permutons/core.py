@@ -39,16 +39,23 @@ each point, then places the point uniformly inside it.  The pick takes the
 same n uniforms as ``Generator.choice(p=...)`` and returns the same indices,
 ``searchsorted(cdf, u, side="right")`` on the table that ``choice`` builds,
 so every seeded stream is the one ``choice`` gives; only the search differs
-(a guide table in place of a binary search over the whole table, ``_draw``,
-for fewer than 2^31 categories).  ``_Sampler`` holds that table for one
-source, so a caller that draws many times from one source builds it once:
-``sample_permutation`` and the subset estimator of ``patterns.density_mc``.
+(a guide table in place of a binary search over the whole table, ``_guide``
+and ``_lookup``, for fewer than 2^31 categories).  A ``_Sampler`` holds that
+table for one source.  Each grid or segment permuton builds its own on its
+first draw and keeps it, so every later ``sample_points``,
+``sample_permutation`` or ``patterns.density_mc`` call on that permuton
+draws from the same table.  The table takes 16 bytes per category when the
+count of cells or segments is a power of two and less than 24 otherwise
+(4 MB for a 512 x 512 grid), for as long as the permuton lives.  The
+constructors copy their input array, so no later write to the caller's
+array reaches a permuton or its table.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +67,7 @@ _REBALANCE_MAX_ITER = 100_000
 
 
 def _as_float_matrix(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"cell-mass matrix must be square, got shape {w.shape}")
     return w
@@ -105,6 +112,13 @@ class GridPermuton:
         """Cell-average density values m^2 * w (the step-function density)."""
         return self.w * float(self.m) ** 2
 
+    # cached_property writes the instance __dict__ directly, past the frozen
+    # dataclass's __setattr__
+    @cached_property
+    def _sampler(self) -> _Sampler:
+        """The draw table of the m^2 cells, built on the first draw and kept."""
+        return _Sampler(self)
+
 
 @dataclass(frozen=True)
 class SegmentPermuton:
@@ -120,7 +134,7 @@ class SegmentPermuton:
     segments: np.ndarray
 
     def __post_init__(self):
-        seg = np.asarray(self.segments, dtype=np.float64)
+        seg = np.array(self.segments, dtype=np.float64)
         if seg.ndim != 2 or seg.shape[1] != 5:
             raise ValueError("segments must have shape (k, 5)")
         if not np.all(np.isfinite(seg)):
@@ -149,6 +163,11 @@ class SegmentPermuton:
             if dev > 1e-9:
                 raise ValueError(f"{label}-marginal deviates from uniform by {dev:.3e}")
 
+    @cached_property
+    def _sampler(self) -> _Sampler:
+        """The draw table of the segments, built on the first draw and kept."""
+        return _Sampler(self)
+
 
 def _projection_deviation(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray) -> float:
     """Max deviation of the projected 1-D density from 1 on [0, 1].
@@ -173,7 +192,7 @@ class Permutation:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
+        v = np.array(self.values, dtype=np.int64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("one-line notation must be a nonempty 1-D sequence")
         if not np.array_equal(np.sort(v), np.arange(1, v.size + 1)):
@@ -321,15 +340,9 @@ def _lookup(table, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category index of each uniform in u, exactly as Generator.choice:
-    ``cdf.searchsorted(u, side="right")`` on the table ``choice`` builds.
-    Fewer than 2^31 categories (ValueError otherwise)."""
-    return _lookup(_guide(weights), u)
-
-
 class _Sampler:
-    """``sample_points`` for one source, its draw table built once.
+    """``sample_points`` for one source, its draw table built once.  Each
+    permuton builds its own on its first draw and keeps it (``_sampler``).
 
     A grid keeps the guide table of its m^2 cells; a segment permuton keeps
     the guide table of its masses and contiguous x0, x1 - x0, y0 and slope
@@ -342,14 +355,12 @@ class _Sampler:
         if isinstance(source, GridPermuton):
             self.m = source.m
             self.table = _guide(source.w.ravel())
-        elif isinstance(source, SegmentPermuton):
+        else:
             seg = source.segments
             self.m = None
             self.table = _guide(seg[:, 4])
             self.x0, self.y0, self.slope = (np.ascontiguousarray(seg[:, c]) for c in (0, 2, 3))
             self.dx = seg[:, 1] - seg[:, 0]
-        else:
-            raise TypeError(f"unsupported permuton source {type(source).__name__}")
 
     def points(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         m = self.m
@@ -388,20 +399,30 @@ class _Sampler:
         raise RuntimeError("persistent coordinate ties while sampling")
 
 
+def _sampler_of(source: GridPermuton | SegmentPermuton) -> _Sampler:
+    """The draw table ``source`` keeps (built on its first draw); TypeError
+    for anything but a grid or segment permuton."""
+    if not isinstance(source, (GridPermuton, SegmentPermuton)):
+        raise TypeError(f"unsupported permuton source {type(source).__name__}")
+    return source._sampler
+
+
 def sample_points(source: GridPermuton | SegmentPermuton, n: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. points from the permuton: (x array, y array), unsorted.
 
-    Each point's cell or segment is drawn from rng.random(n) as ``_draw`` draws:
-    the same uniforms and the same indices as ``rng.choice(N, n, p=...)``, so
-    a seeded generator gives the points it gave with ``choice``.  The draw
-    table is built on every call.  n must be a nonnegative integer (numpy
-    integers included, bools not); n = 0 gives two empty arrays.
+    Each point's cell or segment is drawn from rng.random(n) through the
+    guide table: the same uniforms and the same indices as
+    ``rng.choice(N, n, p=...)``, so a seeded generator gives the points it
+    gave with ``choice``.  The table is the one ``source`` keeps: the first
+    draw from a permuton builds it, later calls reuse it.  n must be a
+    nonnegative integer (numpy integers included, bools not); n = 0 gives
+    two empty arrays.
     """
     n = _as_count(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _Sampler(source).points(n, rng)
+    return _sampler_of(source).points(n, rng)
 
 
 def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
@@ -411,14 +432,14 @@ def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
     Points are sorted by x; the output one-line values are the ranks of the
     corresponding y values.  Ties (probability zero in exact arithmetic, and
     possible only through floating-point collisions) trigger a fresh draw.
-    The draw table is built once per call, not once per draw; each draw
-    takes the uniforms ``sample_points`` takes, and one argsort per axis
-    ranks the points and finds the ties.
+    Each draw takes the uniforms ``sample_points`` takes, from the table
+    ``source`` keeps, and one argsort per axis ranks the points and finds
+    the ties.
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Permutation(_Sampler(source).ranks(n, rng) + 1)
+    return Permutation(_sampler_of(source).ranks(n, rng) + 1)
 
 
 def gamma_ab(a: float, b: float) -> SegmentPermuton:

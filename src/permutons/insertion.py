@@ -290,13 +290,20 @@ def family_from_csv(text: str) -> InsertionFamily:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mt="):
         raise ValueError("family CSV must start with 'mt=<int>,my=<int>'")
-    head = dict(part.split("=") for part in lines[0].split(","))
+    head = dict(part.strip().partition("=")[::2] for part in lines[0].split(","))
+    for key in ("mt", "my"):
+        if key not in head:
+            raise ValueError(f"family CSV header {lines[0]!r} has no '{key}=<int>' entry")
     mt, my = int(head["mt"]), int(head["my"])
     xs = column_x(mt)
     cols = [np.zeros(column_cells(x, my)) for x in xs]
     seen = [np.zeros(col.size, dtype=bool) for col in cols]
-    for ln in lines[1:]:
-        cs, ks, vs = ln.split(",")
+    for i, ln in enumerate(lines[1:]):
+        fields = ln.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"data line {i + 1} has {len(fields)} fields, "
+                             "expected 3 (x index, y index, density)")
+        cs, ks, vs = fields
         c, k = int(cs) - 1, int(ks) - 1
         if not (0 <= c < mt and 0 <= k < cols[c].size):
             raise ValueError(f"triple ({cs}, {ks}) outside the family layout")

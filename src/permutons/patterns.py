@@ -49,10 +49,11 @@ report the binomial standard error.  One matcher, ``_matches``, decides
 which rows of k points realize a pattern, for these trials, for
 ``pattern_count`` and for the staircase sweep in ``regions``; it ranks by
 pairwise comparison, in the narrowest integer type that holds k.  The
-subset estimator (``n_points > k``) builds the sampling table once per call,
-draws each trial as ``sample_permutation`` does, and counts the C(n, k)
-subsets of many trials in one blocked pass (``_subset_counts``), of which
-``pattern_count`` is the one-permutation case.
+subset estimator (``n_points > k``) draws each trial as
+``sample_permutation`` does and counts the C(n, k) subsets of many trials in
+one blocked pass (``_subset_counts``), of which ``pattern_count`` is the
+one-permutation case.  Both estimators draw from the table the source
+permuton keeps, which its first draw builds.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, _Sampler,
+from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, _sampler_of,
                    sample_points)
 
 # E[(basis_a)(basis_b)] over (u,v) uniform in the unit cell, basis (1,u,v,uv).
@@ -435,11 +436,12 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     pattern indicator; the standard error is binomial.  With n_points > k the
     per-trial statistic is pattern_count / C(n_points, k) over a sampled
     permutation of n_points points (lower variance, slower per trial).  That
-    estimator builds the sampler's table once per call, draws each trial's
-    permutation from the uniforms ``sample_permutation`` would take, and
-    counts the subsets of about 2^16 / C(n_points, k) trials at a time in one
-    blocked pass, so its value and stderr are those of a loop over
-    ``sample_permutation`` and ``pattern_count``.
+    estimator draws each trial's permutation from the uniforms
+    ``sample_permutation`` would take, and counts the subsets of about
+    2^16 / C(n_points, k) trials at a time in one blocked pass, so its value
+    and stderr are those of a loop over ``sample_permutation`` and
+    ``pattern_count``.  Both estimators draw from the table ``source``
+    built on its first draw and keeps, so no call rebuilds it.
     trials and n_points must be integers (numpy integers included, bools
     not); anything else raises ValueError.
     """
@@ -460,10 +462,9 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
         value = hits / trials
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / trials)
         return DensityEstimate(value, stderr, trials)
-    # subset-averaged estimator: the draws of sample_permutation, from one
-    # table; the counts of pattern_count, for about 2^16 (trial, subset)
-    # pairs at a time
-    sampler = _Sampler(source)
+    # subset-averaged estimator: the draws of sample_permutation; the counts
+    # of pattern_count, for about 2^16 (trial, subset) pairs at a time
+    sampler = _sampler_of(source)
     total = math.comb(n_points, k)
     chunk = max(1, (1 << 16) // total)
     vals = np.empty(trials)

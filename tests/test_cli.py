@@ -289,6 +289,17 @@ def test_malformed_grid_csv_exits_2_naming_the_row(tmp_path, capsys):
     assert "data row 2 has 3 entries, expected m=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mt=3\n1,1,1\n", "family CSV header 'mt=3' has no 'my=<int>' entry"),
+    ("mt=1,my=8\n1,1\n", "data line 1 has 2 fields, expected 3"),
+])
+def test_malformed_family_csv_exits_2_naming_the_problem(tmp_path, capsys, text, message):
+    bad = tmp_path / "fam.csv"
+    bad.write_text(text)
+    assert main(["insertion", "--in", str(bad), "--grid", "8"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_insertion_extract_then_reconstruct(tmp_path, capsys):
     g = tmp_path / "g.csv"
     main(["star12", "--r", "-2.0", "--grid", "32", "--out", str(g)])

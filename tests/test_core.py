@@ -89,6 +89,65 @@ def test_permutation_validation():
         Permutation(np.array([0, 1, 2]))
 
 
+def test_permutons_copy_their_input():
+    # a write to the caller's array, before or after the first draw, reaches
+    # neither the permuton nor its draw table, and leaves the caller's array
+    # writeable
+    w0 = random_grid(6, np.random.default_rng(4)).w.copy()
+    seg0 = gamma_ab(0.8, 0.3).segments.copy()
+    for make, ref in ((GridPermuton, w0), (SegmentPermuton, seg0)):
+        expect = sample_points(make(ref.copy()), 500, np.random.default_rng(5))
+        for draw_first in (False, True):
+            a = ref.copy()
+            src = make(a)
+            if draw_first:
+                sample_points(src, 10, np.random.default_rng(6))
+            assert a.flags.writeable
+            a[::-1] = ref       # another valid permuton,
+            a[0, -1] = 0.5      # then none at all
+            kept = src.w if make is GridPermuton else src.segments
+            assert np.array_equal(kept, ref) and not kept.flags.writeable
+            x, y = sample_points(src, 500, np.random.default_rng(5))
+            assert np.array_equal(x, expect[0]) and np.array_equal(y, expect[1])
+    v = np.array([2, 3, 1], dtype=np.int64)
+    pi = Permutation(v)
+    v[0] = 3
+    assert v.flags.writeable and pi.values.tolist() == [2, 3, 1]
+
+
+def test_each_permuton_builds_its_draw_table_once(monkeypatch):
+    # sample_points, sample_permutation and both density_mc estimators draw
+    # from the table the permuton keeps, and draw what a fresh table draws
+    from permutons import core
+    from permutons.patterns import PatternSpec, density_mc
+    builds = []
+    guide = core._guide
+    monkeypatch.setattr(core, "_guide", lambda weights: builds.append(1) or guide(weights))
+    tau = PatternSpec.parse("132")
+
+    def calls(src):
+        rng = np.random.default_rng(9)
+        return (sample_points(src, 300, rng), sample_points(src, 7, rng),
+                sample_permutation(src, 40, rng).values,
+                density_mc(src, tau, 5000, rng), density_mc(src, tau, 20, rng, n_points=6))
+
+    for src in (random_grid(8, np.random.default_rng(2)), gamma_ab(0.7, 0.2)):
+        builds.clear()
+        got = calls(src)
+        assert len(builds) == 1
+        rng = np.random.default_rng(9)
+        fresh = (core._Sampler(src).points(300, rng), core._Sampler(src).points(7, rng),
+                 core._Sampler(src).ranks(40, rng) + 1)
+        for (x, y), (xr, yr) in zip(got[:2], fresh[:2]):
+            assert np.array_equal(x, xr) and np.array_equal(y, yr)
+        assert np.array_equal(got[2], fresh[2])
+        # an equal permuton builds and keeps a table of its own, and both
+        # estimators give what they gave on the original
+        copy = type(src)(src.w if isinstance(src, GridPermuton) else src.segments)
+        builds.clear()
+        assert calls(copy)[3:] == got[3:] and len(builds) == 1
+
+
 def test_permutation_grid_places_mass_on_cells():
     pi = Permutation(np.array([2, 4, 1, 3]))
     g = grid_from_permutation(pi)
@@ -292,18 +351,18 @@ def test_draw_breaks_ties_as_choice():
     # a uniform equal to a CDF value or to a bucket edge b / B picks the
     # index searchsorted(side="right") picks; random uniforms almost never
     # hit these ties, so they are placed here by hand
-    from permutons.core import _draw
+    from permutons.core import _guide, _lookup
     w = np.array([0.0, 0.25, 0.0, 0.0, 0.125, 0.125, 0.5, 0.0, 1e-12])
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
     u = np.concatenate([cdf[cdf < 1.0], np.arange(16) / 16, [np.nextafter(1.0, 0.0)]])
-    assert np.array_equal(_draw(w, u), cdf.searchsorted(u, side="right"))
+    assert np.array_equal(_lookup(_guide(w), u), cdf.searchsorted(u, side="right"))
 
 
 def test_draw_on_a_large_table_is_searchsorted():
     # 512 x 512 cells, B = 2^18 buckets: random uniforms, every bucket edge
     # b / B and the largest uniform below 1
-    from permutons.core import _draw
+    from permutons.core import _guide, _lookup
     rng = np.random.default_rng(3)
     w = rng.random(512 * 512)
     w[rng.random(w.size) < 0.3] = 0.0
@@ -311,11 +370,11 @@ def test_draw_on_a_large_table_is_searchsorted():
     cdf /= cdf[-1]
     u = np.concatenate([rng.random(10 ** 5), np.arange(1 << 18) / (1 << 18),
                         [np.nextafter(1.0, 0.0)]])
-    assert np.array_equal(_draw(w, u), cdf.searchsorted(u, side="right"))
+    assert np.array_equal(_lookup(_guide(w), u), cdf.searchsorted(u, side="right"))
     # bucket indices are int32: 2^31 categories are refused up front (a
     # broadcast view, so nothing of that size is allocated)
     with pytest.raises(ValueError, match="categories"):
-        _draw(np.broadcast_to(1.0, (1 << 31,)), u)
+        _lookup(_guide(np.broadcast_to(1.0, (1 << 31,))), u)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -253,6 +253,14 @@ def test_family_csv_rejects_malformed_input():
     lines = text.splitlines()
     with pytest.raises(ValueError):
         family_from_csv("\n".join(lines[:-1]) + "\n")
+    # a header key missing, or a data line short of a field, is named
+    for head in ("mt=4", "mt=4,mt=4", "mt=4,m=4"):
+        with pytest.raises(ValueError, match="has no 'my=<int>' entry"):
+            family_from_csv("\n".join([head, *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="data line 2 has 2 fields, expected 3"):
+        family_from_csv("\n".join([lines[0], lines[1], "1,2", *lines[3:]]) + "\n")
+    with pytest.raises(ValueError, match="data line 1 has 4 fields, expected 3"):
+        family_from_csv("\n".join([lines[0], lines[1] + ",0", *lines[2:]]) + "\n")
     # non-finite densities: the constructor rejects them, and so the parser
     for bad in (np.nan, np.inf, -np.inf):
         cols = [np.array(c) for c in fam.cols]
