@@ -20,7 +20,7 @@ dimple      crossing point of the 1 2 3/3 2 1 boundary curves
 Conventions
 -----------
 Global flags (given after the subcommand): --seed (default 0), --threads
-(pins the BLAS/OpenMP thread-count env vars; it is read before numpy is
+(at least 1; pins the BLAS/OpenMP thread-count env vars before numpy is
 imported, which is why this module imports the library lazily), --out, and
 --manifest (JSON run record: command, seed, thread setting, versions, wall
 time, and the key scalars of the run).
@@ -58,19 +58,6 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-
-
-def _pin_threads(argv: list[str]) -> None:
-    """Apply --threads to the BLAS env vars before numpy is first imported."""
-    val = None
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            val = argv[i + 1]
-        elif tok.startswith("--threads="):
-            val = tok.split("=", 1)[1]
-    if val is not None and val.isdigit():
-        for var in _THREAD_VARS:
-            os.environ[var] = val
 
 
 def _json_render(obj, indent: int = 0) -> str:
@@ -608,14 +595,20 @@ def _manifest(argv, args, scalars, wall: float, code: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    _pin_threads(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
+    # neither argparse nor the parser imports numpy, so the thread count is
+    # pinned before numpy first loads
+    if args.threads is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
     t0 = time.perf_counter()
     scalars: dict = {}
     try:

@@ -46,9 +46,13 @@ first draw and keeps it, so every later ``sample_points``,
 ``sample_permutation`` or ``patterns.density_mc`` call on that permuton
 draws from the same table.  The table takes 16 bytes per category when the
 count of cells or segments is a power of two and less than 24 otherwise
-(4 MB for a 512 x 512 grid), for as long as the permuton lives.  The
-constructors copy their input array, so no later write to the caller's
-array reaches a permuton or its table.
+(4 MB for a 512 x 512 grid), for as long as the permuton lives.
+
+Every value type of the package holds its arrays one way (``_frozen``): the
+constructor copies its input, and the array it keeps is a read-only view of
+that private copy, whose flag cannot be set back to writeable.  So no write
+to the caller's array, and no write through the held one, can change a
+permuton after it is built, and a kept draw table cannot go stale.
 """
 
 from __future__ import annotations
@@ -66,11 +70,12 @@ _REBALANCE_TOL = 1e-13
 _REBALANCE_MAX_ITER = 100_000
 
 
-def _as_float_matrix(w) -> np.ndarray:
-    w = np.array(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"cell-mass matrix must be square, got shape {w.shape}")
-    return w
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, an array that owns its data and that no
+    one else holds.  ``a`` becomes read-only too, and numpy refuses to make
+    a view writeable over a read-only base (ValueError)."""
+    a.setflags(write=False)
+    return a.view()
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,10 @@ class GridPermuton:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _as_float_matrix(self.w)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        w = np.array(self.w, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"cell-mass matrix must be square, got shape {w.shape}")
+        object.__setattr__(self, "w", _frozen(w))
         m = w.shape[0]
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
@@ -139,8 +145,7 @@ class SegmentPermuton:
             raise ValueError("segments must have shape (k, 5)")
         if not np.all(np.isfinite(seg)):
             raise ValueError("segment entries must be finite")
-        seg.setflags(write=False)
-        object.__setattr__(self, "segments", seg)
+        object.__setattr__(self, "segments", _frozen(seg))
         x0, x1, y0, slope, mass = seg.T
         if np.any(x1 <= x0):
             raise ValueError("each segment needs x0 < x1")
@@ -197,8 +202,7 @@ class Permutation:
             raise ValueError("one-line notation must be a nonempty 1-D sequence")
         if not np.array_equal(np.sort(v), np.arange(1, v.size + 1)):
             raise ValueError("values must be a bijection on 1..n")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @property
     def n(self) -> int:
@@ -239,8 +243,7 @@ def cdf(g: GridPermuton) -> np.ndarray:
     m = g.m
     G = np.zeros((m + 1, m + 1))
     G[1:, 1:] = np.cumsum(np.cumsum(g.w, axis=0), axis=1)
-    G.setflags(write=False)
-    return G
+    return _frozen(G)
 
 
 def rect_distance(g1: GridPermuton, g2: GridPermuton) -> float:
@@ -438,7 +441,7 @@ def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return Permutation(_sampler_of(source).ranks(n, rng) + 1)
 
 

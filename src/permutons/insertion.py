@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, cdf, rebalance_marginals
+from .core import GridPermuton, _frozen, cdf, rebalance_marginals
 from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
@@ -71,7 +71,6 @@ class InsertionFamily:
     mt: int
     my: int
     cols: tuple[np.ndarray, ...]
-    tag: str | None = None
 
     def __post_init__(self):
         if self.mt < 1 or self.my < 1:
@@ -81,7 +80,7 @@ class InsertionFamily:
         xs = column_x(self.mt)
         frozen = []
         for c, col in enumerate(self.cols):
-            f = np.asarray(col, dtype=np.float64)
+            f = np.array(col, dtype=np.float64)
             ny = column_cells(xs[c], self.my)
             if f.shape != (ny,):
                 raise ValueError(f"column {c} must have {ny} cells, got {f.shape}")
@@ -91,8 +90,7 @@ class InsertionFamily:
             if abs(total - 1.0) > COLUMN_NORM_TOL:
                 raise ValueError(
                     f"column {c} mass {total:.10f} deviates from 1 beyond {COLUMN_NORM_TOL:.0e}")
-            f.setflags(write=False)
-            frozen.append(f)
+            frozen.append(_frozen(f))
         object.__setattr__(self, "cols", tuple(frozen))
 
 
@@ -100,7 +98,7 @@ def flat_family(mt: int, my: int) -> InsertionFamily:
     """The uniform permuton's family: f(x, y) = 1/x on [0, x]."""
     xs = column_x(mt)
     cols = [np.full(column_cells(x, my), 1.0 / x) for x in xs]
-    return InsertionFamily(mt, my, tuple(cols), tag="flat")
+    return InsertionFamily(mt, my, tuple(cols))
 
 
 def star12_family(r: float, mt: int, my: int) -> InsertionFamily:
@@ -118,7 +116,7 @@ def star12_family(r: float, mt: int, my: int) -> InsertionFamily:
         edges = np.linspace(0.0, x, ny + 1)
         cdf_vals = np.expm1(-r * edges) / np.expm1(-r * x)
         cols.append(np.diff(cdf_vals) * (ny / x))
-    return InsertionFamily(mt, my, tuple(cols), tag=f"exp:{r:g}")
+    return InsertionFamily(mt, my, tuple(cols))
 
 
 def insertion_from_permuton(g: GridPermuton) -> InsertionFamily:

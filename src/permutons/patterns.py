@@ -452,7 +452,7 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     n_points = k if n_points is None else _as_count(n_points, "n_points")
     if n_points < k:
         raise ValueError("n_points must be at least the pattern length")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if n_points == k:
         hits = 0
         for done in range(0, trials, 200_000):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gamma_ab, sample_points
+from .core import _frozen, gamma_ab, sample_points
 from .patterns import PatternSpec, _matches
 
 
@@ -45,18 +45,16 @@ class RegionCurve:
     points: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        pts = np.asarray(self.points, dtype=np.float64)
+        t = np.array(self.t, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if t.ndim != 1 or pts.shape != (t.size, 2):
             raise ValueError("need t of shape (n,) and points of shape (n, 2)")
         if t.size >= 2 and np.any(np.diff(t) <= 0):
             raise ValueError("curve parameter must be strictly increasing")
         if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):
             raise ValueError("curve points must lie in the unit square")
-        t.setflags(write=False)
-        pts.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "t", _frozen(t))
+        object.__setattr__(self, "points", _frozen(pts))
 
 
 def region_123_321(t_samples) -> dict[str, RegionCurve]:

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import GridPermuton, _as_count, uniform_grid
+from .core import GridPermuton, _as_count, _frozen, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
@@ -299,10 +299,7 @@ def _gl01(n: int):
     """Gauss-Legendre nodes and weights on [0, 1], read-only and computed
     once per n (``leggauss`` takes milliseconds at a hundred nodes)."""
     z, w = leggauss(n)
-    nodes, weights = 0.5 * (z + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _frozen(0.5 * (z + 1.0)), _frozen(0.5 * w)
 
 
 def _fe_parts(exponents, alpha: np.ndarray, nquad: int):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permutons.cli import main
+from permutons.cli import _THREAD_VARS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +110,18 @@ def test_argument_errors_exit_2(tmp_path, capsys):
     bad.write_text("\n".join(rows) + "\n")
     assert main(["entropy", "--in", str(bad), "--manifest", str(man)]) == 2
     assert not man.exists()
+
+
+def test_threads_pins_the_blas_variables(monkeypatch, capsys):
+    # setenv first, so that the variables are restored after the test
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    assert main(["dimple", "--threads", "2"]) == 0
+    assert [os.environ[var] for var in _THREAD_VARS] == ["2"] * len(_THREAD_VARS)
+    for bad in ("0", "-1"):
+        assert main(["dimple", "--threads", bad]) == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+    assert [os.environ[var] for var in _THREAD_VARS] == ["2"] * len(_THREAD_VARS)
 
 
 def test_missing_input_file_exits_2(tmp_path):

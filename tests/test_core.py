@@ -6,7 +6,9 @@ m = 2 have CDF values 1/2 and 0 at the center node, giving a known L-inf
 distance; coarsening sums cell masses so total mass and marginals are
 preserved bit-for-bit up to summation error; samplers are checked against
 the uniform law with seeded generators and 4-sigma bands, and the cell and
-segment draw against the Generator.choice sampler it replaced.
+segment draw against the Generator.choice sampler it replaced.  Every value
+type is checked to hold a private array whose read-only flag cannot be set
+back.
 """
 
 import time
@@ -34,6 +36,9 @@ from permutons import (
     sample_points,
     uniform_grid,
 )
+from permutons.insertion import InsertionFamily, flat_family
+from permutons.regions import RegionCurve, region_123_321
+from permutons.starmodel import _gl01, star12_grid
 
 
 def random_grid(m, rng, iters=60):
@@ -113,6 +118,96 @@ def test_permutons_copy_their_input():
     pi = Permutation(v)
     v[0] = 3
     assert v.flags.writeable and pi.values.tolist() == [2, 3, 1]
+
+
+# Each case builds a value from arrays of its own and returns (the caller's
+# arrays, the arrays the value holds).
+def _grid():
+    w = random_grid(6, np.random.default_rng(4)).w.copy()
+    return [w], [GridPermuton(w).w]
+
+
+def _segments():
+    seg = gamma_ab(0.8, 0.3).segments.copy()
+    return [seg], [SegmentPermuton(seg).segments]
+
+
+def _permutation():
+    v = np.array([2, 3, 1])
+    return [v], [Permutation(v).values]
+
+
+def _cdf():
+    w = random_grid(6, np.random.default_rng(4)).w.copy()
+    return [w], [cdf(GridPermuton(w))]
+
+
+def _insertion_family():
+    cols = [c.copy() for c in flat_family(8, 8).cols]
+    return cols, list(InsertionFamily(8, 8, tuple(cols)).cols)
+
+
+def _region_curve():
+    t = np.linspace(0.0, 1.0, 11)
+    pts = np.column_stack([t, 1.0 - t])
+    curve = RegionCurve("c", t, pts)
+    return [t, pts], [curve.t, curve.points]
+
+
+def _region_123_321():
+    t = np.linspace(0.0, 1.0, 11)
+    return [t], [a for c in region_123_321(t).values() for a in (c.t, c.points)]
+
+
+def _gauss_legendre():
+    return [], list(_gl01(96))
+
+
+OWNERSHIP_CASES = {
+    "GridPermuton.w": _grid,
+    "SegmentPermuton.segments": _segments,
+    "Permutation.values": _permutation,
+    "cdf": _cdf,
+    "InsertionFamily.cols": _insertion_family,
+    "RegionCurve": _region_curve,
+    "region_123_321": _region_123_321,
+    "_gl01(96)": _gauss_legendre,
+}
+
+
+@pytest.mark.parametrize("case", OWNERSHIP_CASES.values(), ids=OWNERSHIP_CASES.keys())
+def test_value_types_hold_private_read_only_arrays(case):
+    # the held array's flag cannot be set back, the caller's array stays
+    # writeable, and a write to it changes nothing built from it
+    inputs, held = case()
+    before = [h.copy() for h in held]
+    for h in held:
+        with pytest.raises(ValueError):
+            h.setflags(write=True)
+    for a in inputs:
+        assert a.flags.writeable
+        a += 1
+    assert all(h.tobytes() == b.tobytes() for h, b in zip(held, before))
+
+
+@pytest.mark.parametrize("make", (lambda: star12_grid(1.0, 4), lambda: gamma_ab(0.6, 0.2)),
+                         ids=("grid", "segments"))
+def test_a_kept_draw_table_cannot_go_stale(make):
+    # reversing the held array in place after a draw would leave the kept
+    # table on the old permuton; the flag flip that would allow it fails
+    from permutons import core
+    src = make()
+    sample_points(src, 10, np.random.default_rng(0))
+    held = src.w if isinstance(src, GridPermuton) else src.segments
+    with pytest.raises(ValueError):
+        held.setflags(write=True)
+    with pytest.raises(ValueError):
+        held[:] = held[::-1]
+    fresh = core._Sampler(make())
+    rng, fresh_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for n in (1, 500):
+        got, want = sample_points(src, n, rng), fresh.points(n, fresh_rng)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_each_permuton_builds_its_draw_table_once(monkeypatch):

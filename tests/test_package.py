@@ -13,9 +13,12 @@ and the dilogarithm behind ``star12_rho``/``star12_entropy``:
 ``scipy.special``) import it on their first call, so a process that never
 calls them, such as ``permutons optimize``, does not pay about half a
 second of start-up for them.  The third test checks both halves of that in
-a fresh interpreter.
+a fresh interpreter.  Every value type holds its arrays read-only through
+one helper, ``core._frozen``; the last test checks that no other code in
+the package sets an array flag.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -76,3 +79,14 @@ def test_scipy_subpackages_load_only_in_the_functions_that_call_them():
         "['scipy.fft', 'scipy.special']",
         "['scipy.fft', 'scipy.interpolate', 'scipy.special']",
     ]
+
+
+def test_only_the_core_helper_sets_array_flags():
+    src = ROOT / "src" / "permutons"
+    helper = next(node for node in ast.walk(ast.parse((src / "core.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_frozen")
+    sites = [(path.name, no) for path in sorted(src.glob("*.py"))
+             for no, line in enumerate(path.read_text().splitlines(), 1)
+             if "setflags(" in line]
+    assert sites and all(name == "core.py" and helper.lineno <= no <= helper.end_lineno
+                         for name, no in sites), sites
