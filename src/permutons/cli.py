@@ -63,19 +63,11 @@ _THREAD_VARS = (
 def _json_render(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, 2-space indent, floats at 17 digits."""
     pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError("non-finite value in JSON output")
         return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (int, str)):
         return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -200,7 +192,7 @@ def _cmd_solve_star(args, scalars) -> int:
                   "residual": exc.residual,
                   "alpha": [] if exc.alpha is None else exc.alpha.tolist(),
                   "terms": [list(e) for e in exps], "targets": targets}
-        scalars.update({"converged": False, "residual": exc.residual})
+        scalars.update(result)
         if args.out:
             _write_json(args.out, result)
         print(f"error: {exc}", file=sys.stderr)
@@ -210,11 +202,7 @@ def _cmd_solve_star(args, scalars) -> int:
               "densities": sol.densities.tolist(),
               "free_energy": sol.free_energy, "entropy": sol.entropy,
               "newton_iterations": sol.newton_iterations}
-    scalars.update({"converged": True, "entropy": sol.entropy,
-                    "free_energy": sol.free_energy,
-                    "alpha": sol.alpha.tolist(),
-                    "densities": sol.densities.tolist(),
-                    "newton_iterations": sol.newton_iterations})
+    scalars.update(result)
     _deliver(args, _json_render(result))
     return 0
 
@@ -394,12 +382,11 @@ def _cmd_ldp(args, scalars) -> int:
     ns = [int(v) for v in args.n.split(",")]
     s_rho = star12_entropy(star12_r_from_rho(args.rho))
     estimates = [ldp_estimate(n, args.rho, args.eps) for n in ns]
-    scalars.update({"rho": args.rho, "eps": args.eps, "n": ns,
-                    "estimates": estimates, "s_rho": s_rho})
+    result = {"rho": args.rho, "eps": args.eps, "n": ns, "estimates": estimates,
+              "s_rho": s_rho}
+    scalars.update(result)
     if args.json:
-        _deliver(args, _json_render({"rho": args.rho, "eps": args.eps,
-                                     "n": ns, "estimates": estimates,
-                                     "s_rho": s_rho}))
+        _deliver(args, _json_render(result))
     else:
         lines = [f"n={n}: estimate = {_f(est)}   s(rho) = {_f(s_rho)}"
                  for n, est in zip(ns, estimates)]

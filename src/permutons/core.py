@@ -52,13 +52,15 @@ Every value type of the package holds its arrays one way (``_frozen``): the
 constructor copies its input, and the array it keeps is a read-only view of
 that private copy, whose flag cannot be set back to writeable.  So no write
 to the caller's array, and no write through the held one, can change a
-permuton after it is built, and a kept draw table cannot go stale.
+permuton after it is built, and a kept draw table cannot go stale.  Pickling
+or copying a value type rebuilds it through its constructor (``_reduce``), so
+the copy holds its arrays the same way and builds its own draw table.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -78,6 +80,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
+def _reduce(self):
+    """``__reduce__`` of a value type that holds ``_frozen`` arrays: pickle
+    and ``copy`` call its constructor on its fields, which copies, checks and
+    freezes them again; a kept draw table does not carry over."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class GridPermuton:
     """Step permuton: m x m cell masses with uniform marginals.
@@ -88,6 +97,7 @@ class GridPermuton:
     """
 
     w: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         w = np.array(self.w, dtype=np.float64)
@@ -138,6 +148,7 @@ class SegmentPermuton:
     """
 
     segments: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         seg = np.array(self.segments, dtype=np.float64)
@@ -195,6 +206,7 @@ class Permutation:
     """Permutation in one-line notation; ``values`` is a bijection on 1..n."""
 
     values: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.int64)
@@ -437,9 +449,9 @@ def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
     possible only through floating-point collisions) trigger a fresh draw.
     Each draw takes the uniforms ``sample_points`` takes, from the table
     ``source`` keeps, and one argsort per axis ranks the points and finds
-    the ties.
+    the ties.  n must be an integer (numpy integers included, bools not).
     """
-    if n < 1:
+    if _as_count(n, "n") < 1:
         raise ValueError("need n >= 1 sample points")
     rng = np.random.default_rng(seed)
     return Permutation(_sampler_of(source).ranks(n, rng) + 1)

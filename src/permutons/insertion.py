@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, _frozen, cdf, rebalance_marginals
+from .core import GridPermuton, _frozen, _reduce, cdf, rebalance_marginals
 from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
@@ -71,6 +71,7 @@ class InsertionFamily:
     mt: int
     my: int
     cols: tuple[np.ndarray, ...]
+    __reduce__ = _reduce
 
     def __post_init__(self):
         if self.mt < 1 or self.my < 1:

@@ -418,47 +418,52 @@ def _constraint_basis(cur: _Iterate):
     return u[:, keep], missed
 
 
+def _interior_m(g: GridPermuton) -> int:
+    if g.m < 8:
+        raise ValueError("need m >= 8 for interior stencils")
+    return g.m
+
+
+def _cross(a: np.ndarray, m: int) -> np.ndarray:
+    """Centered cross difference a_xy, spacing 1/m, at the nodes a[1:-1, 1:-1]."""
+    return (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) * (m * m / 4.0)
+
+
+def _fit(t: np.ndarray, b: np.ndarray, c: float) -> tuple[float, float]:
+    """Least-squares alpha in t + c alpha b = 0, and the post-fit RMS."""
+    denom = float(np.sum(b * b))
+    alpha = -float(np.sum(t * b)) / (c * denom) + 0.0
+    resid = t + c * alpha * b
+    return alpha, float(np.sqrt(np.mean(resid ** 2)))
+
+
 def pde_residual_12(g: GridPermuton) -> tuple[float, float]:
     """Fit alpha in (log g)_xy + 2 alpha g = 0 on interior nodes; return
     (alpha, post-fit RMS).  Centered differences with spacing 1/m, interior
     margin of 2 cells."""
-    m = g.m
-    if m < 8:
-        raise ValueError("need m >= 8 for interior stencils")
+    m = _interior_m(g)
     d = g.density()
     if np.any(d[1:-1, 1:-1] <= 0):
         raise ValueError("interior cells must be strictly positive")
-    ld = np.log(d[1:-1, 1:-1])
     # cross stencil of log density at nodes [2, m-3] x [2, m-3]
-    lxy = (ld[2:, 2:] - ld[2:, :-2] - ld[:-2, 2:] + ld[:-2, :-2]) * (m * m / 4.0)
-    dint = d[2:-2, 2:-2]
-    denom = float(np.sum(dint * dint))
-    alpha = -float(np.sum(lxy * dint)) / (2.0 * denom) + 0.0
-    resid = lxy + 2.0 * alpha * dint
-    return alpha, float(np.sqrt(np.mean(resid ** 2)))
+    return _fit(_cross(np.log(d[1:-1, 1:-1]), m), d[2:-2, 2:-2], 2.0)
 
 
 def pde_residual_123(g: GridPermuton) -> tuple[float, float]:
     """Fit alpha in (log K_xy)_xy + 3 alpha (2 K_xy K + K_x K_y - 1) = 0,
     K = 2G - x - y + 1, on interior corner nodes; return (alpha, RMS)."""
-    m = g.m
-    if m < 8:
-        raise ValueError("need m >= 8 for interior stencils")
+    m = _interior_m(g)
     G = cdf(g)
     e = np.linspace(0.0, 1.0, m + 1)
     K = 2.0 * G - e[:, None] - e[None, :] + 1.0
     # first cross stencil on corners [1, m-1]
-    kxy = (K[2:, 2:] - K[2:, :-2] - K[:-2, 2:] + K[:-2, :-2]) * (m * m / 4.0)
+    kxy = _cross(K, m)
     if np.any(kxy <= 0):
         raise ValueError("K_xy must be positive on interior corners (needs g > 0)")
-    lk = np.log(kxy)
     # second cross stencil: valid on corners [2, m-2]
-    t = (lk[2:, 2:] - lk[2:, :-2] - lk[:-2, 2:] + lk[:-2, :-2]) * (m * m / 4.0)
+    t = _cross(np.log(kxy), m)
     kx = (K[2:, 1:-1] - K[:-2, 1:-1]) * (m / 2.0)
     ky = (K[1:-1, 2:] - K[1:-1, :-2]) * (m / 2.0)
     sl = slice(1, -1)
     b = (2.0 * kxy[sl, sl] * K[2:-2, 2:-2] + kx[sl, sl] * ky[sl, sl] - 1.0)
-    denom = float(np.sum(b * b))
-    alpha = -float(np.sum(t * b)) / (3.0 * denom) + 0.0
-    resid = t + 3.0 * alpha * b
-    return alpha, float(np.sqrt(np.mean(resid ** 2)))
+    return _fit(t, b, 3.0)

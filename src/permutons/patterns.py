@@ -39,7 +39,7 @@ constrained entropy optimizer.
 ``densities`` evaluates a list of patterns on one grid: it builds the
 channels once and evaluates each distinct quadrant term E[P Q], with its
 gradient, once for all the patterns that use it.  Every density is a fixed
-sum of such terms (the table in ``_exact_terms``), added in the same order
+sum of such terms (the table ``_TERMS``), added in the same order
 whatever else is in the list, so a batched value or gradient is bitwise the
 one computed for its pattern alone.  The CLI sidecar gets its eight
 densities from one ``densities`` call.
@@ -262,74 +262,45 @@ def _channels(w: np.ndarray):
     return A, B, C, D, U
 
 
-def _J(w, P, Q):
-    """E over P0 ~ gamma of (quadrant P mass)(quadrant Q mass), and its field q."""
-    q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
-    return float(np.sum(w * q)), q
-
-
-def _suffix2d_strict(T):
-    out = np.zeros(T.shape)
-    out[:-1, :-1] = T[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1][1:, 1:]
-    return out
-
-
-def _suffix_axis1_strict(T):
-    out = np.zeros(T.shape)
-    out[:, :-1] = T[:, ::-1].cumsum(1)[:, ::-1][:, 1:]
-    return out
-
-
-def _suffix_axis0_strict(T):
-    out = np.zeros(T.shape)
-    out[:-1, :] = T[::-1, :].cumsum(0)[::-1, :][1:, :]
-    return out
-
-
 def _adjoint(T, out):
     """out + L^T T: the adjoint of ``_prefix`` applied to T (4, m, m), a
     strict suffix scan per channel, added to out in channel order."""
-    return (out + _suffix2d_strict(T[0]) + _suffix_axis1_strict(T[1])
-            + _suffix_axis0_strict(T[2]) + T[3])
+    S = np.zeros((3,) + T.shape[1:])
+    S[0, :-1, :-1] = T[0, ::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1][1:, 1:]
+    S[1, :, :-1] = T[1, :, ::-1].cumsum(1)[:, ::-1][:, 1:]
+    S[2, :-1, :] = T[2, ::-1, :].cumsum(0)[::-1, :][1:, :]
+    return out + S[0] + S[1] + S[2] + T[3]
 
 
 def _term_field(P, Q, sP: float, sQ: float):
     """R = sP BIL Q + sQ BIL^T P (4, m, m): d q / d w along the prefix
-    channels, q the field of _J(w, P, Q)."""
+    channels, q = sum_ab BIL_ab P_a Q_b the field of the term E[P Q]."""
     TQ = np.einsum("cb,bij->cij", _BIL, Q)
     TP = np.einsum("ac,aij->cij", _BIL, P)
     return sP * TQ + sQ * TP
 
 
-def _grad_J(w, P, Q, q, sP: float, sQ: float):
-    """Gradient q + L^T (w R) of _J(w, P, Q) in w, given the field q that
-    _J returns.
-
-    sP, sQ are the signs of the w-dependent parts of the quadrant fields
-    (+1 for A and B, -1 for C and D, 0 for the constant field U), so that
-    P = const + sP L(w); the affine parts contribute only through the
-    direct term.
-    """
-    return _adjoint(w[None] * _term_field(P, Q, sP, sQ), q)
-
-
-def _exact_terms(tau_values: tuple[int, ...]):
-    """Decompose an explicit k <= 3 pattern density into (coeff, Pq, Qq, sP, sQ)."""
-    table = {
-        (1,): (),
-        (1, 2): ((2.0, "A", "U"),),
-        (2, 1): ((2.0, "C", "U"),),
-        (1, 2, 3): ((6.0, "A", "B"),),
-        (3, 2, 1): ((6.0, "C", "D"),),
-        (2, 1, 3): ((3.0, "A", "A"), (-6.0, "A", "B")),
-        (1, 3, 2): ((3.0, "B", "B"), (-6.0, "A", "B")),
-        (2, 3, 1): ((3.0, "C", "C"), (-6.0, "C", "D")),
-        (3, 1, 2): ((3.0, "D", "D"), (-6.0, "C", "D")),
-    }
-    return table[tau_values]
-
-
+# Each explicit k <= 3 pattern density as a sum of coeff * E[P Q] terms over
+# the quadrant fields.  _QSIGN is the sign of each field's w-dependent part
+# (+1 for A and B, -1 for C and D, 0 for the constant field U), so that
+# P = const + sP L(w); the affine parts contribute only through q.
+_TERMS = {
+    (1,): (),
+    (1, 2): ((2.0, "A", "U"),),
+    (2, 1): ((2.0, "C", "U"),),
+    (1, 2, 3): ((6.0, "A", "B"),),
+    (3, 2, 1): ((6.0, "C", "D"),),
+    (2, 1, 3): ((3.0, "A", "A"), (-6.0, "A", "B")),
+    (1, 3, 2): ((3.0, "B", "B"), (-6.0, "A", "B")),
+    (2, 3, 1): ((3.0, "C", "C"), (-6.0, "C", "D")),
+    (3, 1, 2): ((3.0, "D", "D"), (-6.0, "C", "D")),
+}
 _QSIGN = {"A": 1.0, "B": 1.0, "C": -1.0, "D": -1.0, "U": 0.0}
+
+
+def _terms(tau: PatternSpec):
+    """The (coeff, P, Q) terms of tau's density, member by member."""
+    return [term for member in tau.members() for term in _TERMS[member]]
 
 
 def densities(g: GridPermuton, taus, *, grad: bool = False):
@@ -364,17 +335,18 @@ def _densities(w: np.ndarray, taus: tuple, grad: bool):
         if fields is None:
             fields = dict(zip("ABCDU", _channels(w)))
         value = 0.0
-        for member in tau.members():
-            for coeff, pn, qn in _exact_terms(member):
-                term = terms.get((pn, qn))
-                if term is None:
-                    P, Q = fields[pn], fields[qn]
-                    J, q = _J(w, P, Q)
-                    dJ = _grad_J(w, P, Q, q, _QSIGN[pn], _QSIGN[qn]) if grad else None
-                    term = terms[pn, qn] = (J, dJ)
-                value += coeff * term[0]
-                if grad:
-                    grads[i] += coeff * term[1]
+        for coeff, pn, qn in _terms(tau):
+            term = terms.get((pn, qn))
+            if term is None:
+                # E[PQ] = sum w q, with gradient q + L^T (w R)
+                P, Q = fields[pn], fields[qn]
+                q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
+                dJ = (_adjoint(w[None] * _term_field(P, Q, _QSIGN[pn], _QSIGN[qn]), q)
+                      if grad else None)
+                term = terms[pn, qn] = (float(np.sum(w * q)), dJ)
+            value += coeff * term[0]
+            if grad:
+                grads[i] += coeff * term[1]
         values[i] = value
     return values, grads
 
@@ -384,7 +356,7 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
 
     Every term J = sum w q, q = sum_ab BIL_ab P_a Q_b, has the gradient
     q + L^T (w R) with R = ``_term_field`` and P = const + sP L(w)
-    (``_grad_J``).  Differentiating along v, with L linear and BIL
+    (``_QSIGN``).  Differentiating along v, with L linear and BIL
     symmetric,
 
         Hess(J) v = sum_c R_c L_c(v) + L^T (v R + 2 sP sQ w BIL L(v)).
@@ -396,9 +368,8 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
     """
     coeffs = {}
     for weight, tau in zip(weights, taus):
-        for member in tau.members():
-            for coeff, pn, qn in _exact_terms(member):
-                coeffs[pn, qn] = coeffs.get((pn, qn), 0.0) + weight * coeff
+        for coeff, pn, qn in _terms(tau):
+            coeffs[pn, qn] = coeffs.get((pn, qn), 0.0) + weight * coeff
     fields = dict(zip("ABCDU", _channels(w)))
     rbar = np.zeros((4,) + w.shape)
     sigma = 0.0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frozen, gamma_ab, sample_points
+from .core import _as_count, _frozen, _reduce, gamma_ab, sample_points
 from .patterns import PatternSpec, _matches
 
 
@@ -43,6 +43,7 @@ class RegionCurve:
     label: str
     t: np.ndarray
     points: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         t = np.array(self.t, dtype=np.float64)
@@ -114,8 +115,10 @@ def gamma_ab_sweep(a_samples, b_fractions, mc_trials: int,
     staircase parameter is b = fraction * a / 2, so the sample grid covers
     the whole parameter triangle.  Returns rows (a, b, rho_12, rho_123).
     Each grid point draws mc_trials independent triples; rho_12 reuses the
-    first two points of every triple.
+    first two points of every triple.  mc_trials must be an integer (numpy
+    integers included, bools not).
     """
+    mc_trials = _as_count(mc_trials, "mc_trials")
     if mc_trials < 1:
         raise ValueError("need at least one trial")
     a_samples = np.atleast_1d(np.asarray(a_samples, dtype=np.float64))

@@ -8,10 +8,13 @@ preserved bit-for-bit up to summation error; samplers are checked against
 the uniform law with seeded generators and 4-sigma bands, and the cell and
 segment draw against the Generator.choice sampler it replaced.  Every value
 type is checked to hold a private array whose read-only flag cannot be set
-back.
+back, also after a pickle or deep-copy round trip.
 """
 
+import copy
+import pickle
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -210,6 +213,47 @@ def test_a_kept_draw_table_cannot_go_stale(make):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def _arrays(field):
+    """The arrays in one field of a value type: the field, or its items."""
+    items = field if isinstance(field, tuple) else (field,)
+    return [a for a in items if isinstance(a, np.ndarray)]
+
+
+VALUE_TYPES = {
+    "GridPermuton": lambda: star12_grid(1.0, 4),
+    "SegmentPermuton": lambda: gamma_ab(0.6, 0.2),
+    "Permutation": lambda: Permutation([2, 3, 1]),
+    "InsertionFamily": lambda: flat_family(4, 8),
+    "RegionCurve": lambda: region_123_321(np.linspace(0.0, 1.0, 5))["C"],
+}
+
+
+@pytest.mark.parametrize("dup", (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy),
+                         ids=("pickle", "deepcopy"))
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_copies_keep_the_ownership_rule(make, dup):
+    # a copy is rebuilt through its constructor: it holds equal arrays whose
+    # flag cannot be set back, and builds its own draw table
+    from permutons import core
+    value = make()
+    draws = isinstance(value, (GridPermuton, SegmentPermuton))
+    if draws:
+        sample_points(value, 10, np.random.default_rng(0))
+    twin = dup(value)
+    assert "_sampler" not in vars(twin)
+    held = [[a for f in fields(v) for a in _arrays(getattr(v, f.name))] for v in (value, twin)]
+    assert held[1] and len(held[0]) == len(held[1])
+    for a, b in zip(*held):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            b.setflags(write=True)
+    if draws:
+        fresh = core._Sampler(make())
+        got = sample_points(twin, 500, np.random.default_rng(1))
+        want = fresh.points(500, np.random.default_rng(1))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_each_permuton_builds_its_draw_table_once(monkeypatch):
     # sample_points, sample_permutation and both density_mc estimators draw
     # from the table the permuton keeps, and draw what a fresh table draws
@@ -379,6 +423,17 @@ def test_sample_permutation_tracks_source():
     # sampling the identity permuton must give the identity permutation
     pi = sample_permutation(gamma_ab(1.0, 0.0), 40, seed=8)
     assert np.array_equal(pi.values, np.arange(1, 41))
+
+
+def test_sample_permutation_rejects_bad_counts():
+    src = uniform_grid(4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            sample_permutation(src, bad, 0)
+    for bad in (2.5, 3.0, "4", True, np.bool_(True)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_permutation(src, bad, 0)
+    assert sample_permutation(src, np.int64(3), 0).n == 3
 
 
 def test_sample_points_rejects_bad_counts():

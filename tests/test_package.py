@@ -14,8 +14,10 @@ and the dilogarithm behind ``star12_rho``/``star12_entropy``:
 calls them, such as ``permutons optimize``, does not pay about half a
 second of start-up for them.  The third test checks both halves of that in
 a fresh interpreter.  Every value type holds its arrays read-only through
-one helper, ``core._frozen``; the last test checks that no other code in
-the package sets an array flag.
+one helper, ``core._frozen``; a test checks that no other code in the
+package sets an array flag.  Every exact density is a sum of the quadrant
+terms in one table, ``patterns._TERMS``; the last test checks that only
+``patterns._terms`` reads it.
 """
 
 import ast
@@ -90,3 +92,12 @@ def test_only_the_core_helper_sets_array_flags():
              if "setflags(" in line]
     assert sites and all(name == "core.py" and helper.lineno <= no <= helper.end_lineno
                          for name, no in sites), sites
+
+
+def test_only_the_term_walk_reads_the_term_table():
+    path = ROOT / "src" / "permutons" / "patterns.py"
+    walk = next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_terms")
+    sites = [no for no, line in enumerate(path.read_text().splitlines(), 1)
+             if "_TERMS[" in line]
+    assert sites and all(walk.lineno <= no <= walk.end_lineno for no in sites), sites

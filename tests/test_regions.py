@@ -93,6 +93,10 @@ def test_sweep_rejects_fewer_than_one_trial():
     for trials in (0, -5):
         with pytest.raises(ValueError, match="at least one trial"):
             gamma_ab_sweep([0.5], [0.5], trials, 1)
+    for trials in (2.5, 3.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="mc_trials must be an integer"):
+            gamma_ab_sweep([0.5], [0.5], trials, 1)
+    assert gamma_ab_sweep([0.5], [0.5], np.int64(10), 1).shape == (1, 4)
 
 
 def test_sweep_grid_and_corner_values():
