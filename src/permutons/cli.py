@@ -95,6 +95,17 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
+def _count(text: str):
+    """A count as an integer, also in exponent form ("1e6").  A value that is
+    not an integer stays a float, for the library's count check to reject
+    by name (exit 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        return int(value) if value.is_integer() else value
+
+
 def _read_grid(path: str):
     from .core import grid_from_csv
 
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pattern: '12', '132', ... or star class '*2', '**3'")
     sp.add_argument("--mc", action="store_true",
                     help="Monte-Carlo instead of the exact k <= 3 evaluation")
-    sp.add_argument("--trials", type=lambda s: int(float(s)), default=1_000_000,
+    sp.add_argument("--trials", type=_count, default=1_000_000,
                     help="Monte-Carlo trials (default 1e6)")
     sp.add_argument("--points", type=int, default=None,
                     help="points per trial (default: pattern length)")
@@ -525,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gamma_{a,b} Monte-Carlo density cloud")
     sp.add_argument("--na", type=int, default=10, help="a samples")
     sp.add_argument("--nb", type=int, default=10, help="b samples per a")
-    sp.add_argument("--trials", type=lambda s: int(float(s)), default=100_000,
+    sp.add_argument("--trials", type=_count, default=100_000,
                     help="Monte-Carlo triples per point")
     sp.set_defaults(handler=_cmd_sweep_ab)
 

@@ -55,6 +55,9 @@ to the caller's array, and no write through the held one, can change a
 permuton after it is built, and a kept draw table cannot go stale.  Pickling
 or copying a value type rebuilds it through its constructor (``_reduce``), so
 the copy holds its arrays the same way and builds its own draw table.
+
+``rebalance_marginals`` is the one marginal projection and the one judge of
+balance: a grid already within its tolerance comes back untouched.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ from functools import cached_property
 import numpy as np
 
 MARGINAL_TOL = 1e-12
-# rebalance_marginals stops once every marginal is within _REBALANCE_TOL of
-# 1/m, and raises after _REBALANCE_MAX_ITER sweeps.
 _REBALANCE_TOL = 1e-13
 _REBALANCE_MAX_ITER = 100_000
 
@@ -502,6 +503,9 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
     For strictly positive w this converges geometrically to the unique
     doubly-stochastic-scaled matrix diag(u) w diag(v).  Zero rows or columns
     cannot be repaired and raise ValueError, as do NaN or infinite entries.
+    It stops once every marginal and the total are within 1e-13: m marginals
+    each within it can leave the total m times farther off, past what
+    GridPermuton accepts.  A grid already there comes back as it is.
     """
     w = np.array(w, dtype=np.float64)
     m = w.shape[0]
@@ -510,9 +514,15 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
     # a NaN or +-inf entry makes its row sum non-finite (inf - inf is NaN)
     if not np.isfinite(rows).all():
         raise ValueError("cannot rebalance: non-finite mass")
-    # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
-    # is; min would return NaN and miss a zero sum next to a NaN one
-    for _ in range(_REBALANCE_MAX_ITER):
+    for sweep in range(_REBALANCE_MAX_ITER + 1):
+        dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
+        if dev <= _REBALANCE_TOL and abs(w.sum() - 1.0) <= _REBALANCE_TOL:
+            return w
+        if sweep == _REBALANCE_MAX_ITER:
+            raise RuntimeError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} in "
+                               f"{_REBALANCE_MAX_ITER} iterations (last deviation {dev:.3e})")
+        # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
+        # is; min would return NaN and miss a zero sum next to a NaN one
         if np.fmin.reduce(rows) <= 0:
             raise ValueError("cannot rebalance: zero row mass")
         w *= (target / rows)[:, None]
@@ -521,11 +531,6 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
             raise ValueError("cannot rebalance: zero column mass")
         w *= (target / cols)[None, :]
         rows = w.sum(axis=1)
-        dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
-        if dev <= _REBALANCE_TOL:
-            return w
-    raise RuntimeError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
-                       f"in {_REBALANCE_MAX_ITER} iterations (last deviation {dev:.3e})")
 
 
 def grid_to_csv(g: GridPermuton) -> str:

@@ -21,8 +21,8 @@ The cosine basis (DCT-II, Neumann boundary) is the eigensystem of the grid
 Laplacian with zero-flux boundaries, and uniform marginals are equivalent to
 the vanishing of all pure modes g(j, 0), g(0, k) for j, k > 0 -- the damping
 multiplies zeros there, so marginals are preserved automatically.  Mode
-truncation can introduce slightly negative cells; those are clipped and the
-marginals restored by alternating row/column rescaling.
+truncation can introduce slightly negative cells; those are clipped, and
+``rebalance_marginals`` restores the marginals if they moved.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, MARGINAL_TOL, coarsen, rebalance_marginals
+from .core import GridPermuton, _as_count, coarsen, rebalance_marginals
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,13 @@ class HeatFlowSpec:
         # NaN and inf pass a plain t < 0 test and make exp(-t * 0) NaN
         if not 0 <= self.t < math.inf:
             raise ValueError("diffusion time must be finite and nonnegative")
-        for c in (self.j_max, self.k_max):
-            if c is not None and c < 1:
-                raise ValueError("mode cutoffs must be >= 1")
+        for name in ("j_max", "k_max"):
+            c = getattr(self, name)
+            if c is not None:
+                c = _as_count(c, name)
+                if c < 1:
+                    raise ValueError("mode cutoffs must be >= 1")
+                object.__setattr__(self, name, c)
 
 
 def entropy_grid(g: GridPermuton) -> float:
@@ -68,12 +72,14 @@ def entropy_grid(g: GridPermuton) -> float:
 def riemann_refinement(g: GridPermuton, levels) -> list[tuple[int, float]]:
     """Entropy of the coarsened grid at each resolution in ``levels``.
 
-    Every level must divide g.m.  Along increasing levels the sequence is
-    nonincreasing (block averaging can only raise -x log x sums).
+    Every level must be an integer (numpy integers included, bools not) that
+    divides g.m.  Along increasing levels the sequence is nonincreasing
+    (block averaging can only raise -x log x sums).
     """
     out = []
     for m2 in levels:
-        out.append((int(m2), entropy_grid(coarsen(g, int(m2)))))
+        m2 = _as_count(m2, "level")
+        out.append((m2, entropy_grid(coarsen(g, m2))))
     return out
 
 
@@ -89,11 +95,5 @@ def heat_flow(g: GridPermuton, spec: HeatFlowSpec) -> GridPermuton:
     j_max = m if spec.j_max is None else min(spec.j_max, m)
     k_max = m if spec.k_max is None else min(spec.k_max, m)
     damp = damp * (modes[:, None] < j_max) * (modes[None, :] < k_max)
-    d2 = idctn(c * damp, norm="ortho")
-    w2 = d2 / (m * m)
-    w2 = np.where(w2 < 0, 0.0, w2)
-    target = 1.0 / m
-    dev = max(abs(w2.sum(axis=1) - target).max(), abs(w2.sum(axis=0) - target).max())
-    if dev > MARGINAL_TOL / 10:
-        w2 = rebalance_marginals(w2)
-    return GridPermuton(w2)
+    w2 = idctn(c * damp, norm="ortho") / (m * m)
+    return GridPermuton(rebalance_marginals(np.where(w2 < 0, 0.0, w2)))

@@ -44,16 +44,16 @@ whatever else is in the list, so a batched value or gradient is bitwise the
 one computed for its pattern alone.  The CLI sidecar gets its eight
 densities from one ``densities`` call.
 
-Monte Carlo densities draw k points per trial (vectorized across trials) and
-report the binomial standard error.  One matcher, ``_matches``, decides
-which rows of k points realize a pattern, for these trials, for
-``pattern_count`` and for the staircase sweep in ``regions``; it ranks by
-pairwise comparison, in the narrowest integer type that holds k.  The
-subset estimator (``n_points > k``) draws each trial as
-``sample_permutation`` does and counts the C(n, k) subsets of many trials in
-one blocked pass (``_subset_counts``), of which ``pattern_count`` is the
-one-permutation case.  Both estimators draw from the table the source
-permuton keeps, which its first draw builds.
+Monte Carlo densities draw k points per trial, 200,000 trials at a time,
+in one loop (``_trial_hits``) that also serves the staircase sweep in
+``regions``, and report the binomial standard error.  One matcher,
+``_matches``, decides which rows of k points realize a pattern, for these
+trials and for ``pattern_count``; it ranks by pairwise comparison, in the
+narrowest integer type that holds k.  The subset estimator (n_points > k)
+draws each trial as ``sample_permutation`` does and counts the C(n, k)
+subsets of many trials in one blocked pass (``_subset_counts``), of which
+``pattern_count`` is the one-permutation case.  Both estimators draw from
+the table the source permuton keeps, which its first draw builds.
 """
 
 from __future__ import annotations
@@ -387,6 +387,20 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
     return apply
 
 
+def _trial_hits(source, taus, trials: int, rng: np.random.Generator) -> list[int]:
+    """Per pattern of ``taus``, how many trials of k = max tau.k points from
+    ``source`` (drawn 200,000 at a time) have first tau.k points that realize it."""
+    k = max(tau.k for tau in taus)
+    hits = [0] * len(taus)
+    for done in range(0, trials, 200_000):
+        t = min(200_000, trials - done)
+        x, y = sample_points(source, t * k, rng)
+        x, y = x.reshape(t, k), y.reshape(t, k)
+        for i, tau in enumerate(taus):
+            hits[i] += int(np.count_nonzero(_matches(x[:, :tau.k], y[:, :tau.k], tau)))
+    return hits
+
+
 def density_grid_exact(g: GridPermuton, tau: PatternSpec) -> float:
     """Exact pattern density of the step permuton, k <= 3 (module doc)."""
     return float(_densities(g.w, (tau,), False)[0][0])
@@ -425,12 +439,7 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
         raise ValueError("n_points must be at least the pattern length")
     rng = np.random.default_rng(seed)
     if n_points == k:
-        hits = 0
-        for done in range(0, trials, 200_000):
-            t = min(200_000, trials - done)
-            x, y = sample_points(source, t * k, rng)
-            hits += int(np.count_nonzero(_matches(x.reshape(t, k), y.reshape(t, k), tau)))
-        value = hits / trials
+        value = _trial_hits(source, (tau,), trials, rng)[0] / trials
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / trials)
         return DensityEstimate(value, stderr, trials)
     # subset-averaged estimator: the draws of sample_permutation; the counts

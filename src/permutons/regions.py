@@ -20,10 +20,10 @@ the crossing are computed here by bisection.
 ``region_star23_boundary`` gives the two boundary curves of the star pair
 (rho_*2, rho_**3).
 
-``gamma_ab_sweep`` estimates (rho_12, rho_123) by Monte Carlo over the
-two-parameter staircase family gamma_{a,b}: the image of the parameter
-triangle 0 <= b <= a/2 fills the (rho_12, rho_123) feasible region, so the
-sweep cloud traces that region's shape from within.
+``gamma_ab_sweep`` estimates (rho_12, rho_123) over the two-parameter
+staircase family gamma_{a,b}, by the Monte Carlo loop of ``patterns``: the
+image of the parameter triangle 0 <= b <= a/2 fills the (rho_12, rho_123)
+feasible region, so the sweep cloud traces that region's shape from within.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_count, _frozen, _reduce, gamma_ab, sample_points
-from .patterns import PatternSpec, _matches
+from .core import _as_count, _frozen, _reduce, gamma_ab
+from .patterns import PatternSpec, _trial_hits
 
 
 @dataclass(frozen=True)
@@ -127,19 +127,11 @@ def gamma_ab_sweep(a_samples, b_fractions, mc_trials: int,
         raise ValueError("b fractions must lie in [0, 1]")
     pairs = [(float(a), float(frac * a / 2)) for a in a_samples for frac in b_fractions]
     seeds = np.random.SeedSequence(seed).spawn(len(pairs))
-    asc2, asc3 = PatternSpec.parse("12"), PatternSpec.parse("123")
+    asc = (PatternSpec.parse("12"), PatternSpec.parse("123"))
     rows = np.empty((len(pairs), 4))
     for i, ((a, b), ss) in enumerate(zip(pairs, seeds)):
-        perm = gamma_ab(a, b)
-        rng = np.random.default_rng(ss)
-        hits12 = hits123 = 0
-        for done in range(0, mc_trials, 250_000):
-            t = min(250_000, mc_trials - done)
-            x, y = sample_points(perm, 3 * t, rng)
-            x, y = x.reshape(t, 3), y.reshape(t, 3)
-            hits123 += int(np.count_nonzero(_matches(x, y, asc3)))
-            # rho_12 must use an unsorted pair: the two x-smallest of three
-            # points are not an i.i.d. pair, so reuse the raw first two draws
-            hits12 += int(np.count_nonzero(_matches(x[:, :2], y[:, :2], asc2)))
-        rows[i] = (a, b, hits12 / mc_trials, hits123 / mc_trials)
+        # rho_12 must use an unsorted pair: the two x-smallest of three
+        # points are not an i.i.d. pair, so it reads the raw first two draws
+        hits = _trial_hits(gamma_ab(a, b), asc, mc_trials, np.random.default_rng(ss))
+        rows[i] = (a, b, hits[0] / mc_trials, hits[1] / mc_trials)
     return rows

@@ -265,6 +265,8 @@ class StarModel:
         terms = tuple((int(r), int(s), float(a)) for r, s, a in self.terms)
         if not terms:
             raise ValueError("model needs at least one term")
+        if not all(math.isfinite(a) for _, _, a in terms):
+            raise ValueError(f"coefficients must be finite, got {[a for _, _, a in terms]}")
         pairs = [(r, s) for r, s, _ in terms]
         if len(set(pairs)) != len(pairs):
             raise ValueError("exponent pairs must be distinct")
@@ -379,7 +381,9 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
     reach the residual tolerance signals a target on or outside the feasible
     region (boundary permutons have entropy -inf and |alpha| -> inf).  A
     solution whose residual at 2*quad nodes exceeds ``tol`` raises a
-    ConvergenceError that names the quadrature.
+    ConvergenceError that names the quadrature.  ``tol`` must be positive
+    and finite, ``max_iter`` a nonnegative integer and every target inside
+    (0, 1); anything else raises ValueError.
     """
     exps = [(int(r), int(s)) for r, s in exponents]
     # construct a throwaway model so the exponent invariants are enforced here
@@ -387,8 +391,14 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (len(exps),):
         raise ValueError("one target density per exponent pair")
-    if np.any(targets <= 0.0) or np.any(targets >= 1.0):
-        raise ValueError("target densities must lie strictly inside (0, 1)")
+    # written so that NaN fails it
+    if not np.all((targets > 0.0) & (targets < 1.0)):
+        raise ValueError("target densities must lie strictly inside (0, 1), "
+                         f"got {targets.tolist()}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if _as_count(max_iter, "max_iter") < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     scaled = targets / _k_factorials(exps)
     alpha = np.zeros(len(exps))
     _, grad, hess = _fe_parts(exps, alpha, quad)

@@ -76,6 +76,33 @@ def test_manifest_identical_modulo_wall_time(tmp_path):
     assert mans[0] == mans[1]
 
 
+@pytest.mark.parametrize("argv", [
+    # each of these once exited 0: a NaN tolerance or target reported
+    # "converged" with density 0.5, and --trials 2.5 ran 2 trials
+    ["solve-star", "--terms", "1,0", "--targets", "0.3", "--tol", "nan"],
+    ["solve-star", "--terms", "1,0", "--targets", "nan"],
+    ["solve-star", "--terms", "1,0", "--targets", "0.3", "--max-iter", "-1"],
+    ["sweep-ab", "--na", "2", "--nb", "2", "--trials", "2.5"],
+    ["sweep-ab", "--na", "2", "--nb", "2", "--trials", "inf"],
+    ["density", "--in", "{grid}", "--tau", "12", "--mc", "--trials", "2.5"],
+])
+def test_bad_settings_exit_2_by_name(tmp_path, capsys, argv):
+    grid = tmp_path / "g.csv"
+    assert main(["star12", "--rho", "0.4", "--grid", "8", "--out", str(grid)]) == 0
+    capsys.readouterr()
+    assert main([a.format(grid=grid) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and ("must" in err)
+
+
+def test_trials_accept_exponent_form(capsys):
+    assert main(["sweep-ab", "--na", "2", "--nb", "2", "--trials", "1e3"]) == 0
+    assert main(["sweep-ab", "--na", "2", "--nb", "2", "--trials", "1000"]) == 0
+    first, second = capsys.readouterr().out.split("a,b,rho12,rho123")[1:]
+    assert first == second
+
+
 def test_argument_errors_exit_2(tmp_path, capsys):
     man = tmp_path / "m.json"
     g = tmp_path / "g.csv"

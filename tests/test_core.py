@@ -368,9 +368,9 @@ def test_rebalance_marginals_projects():
     assert np.abs(out.sum(axis=0) - 1.0 / 6.0).max() <= 1e-12
     assert np.abs(out.sum(axis=1) - 1.0 / 6.0).max() <= 1e-12
     assert out.min() > 0.0
-    # already-balanced input is a fixed point
-    again = rebalance_marginals(out)
-    assert np.abs(again - out).max() <= 1e-14
+    # already-balanced input is a fixed point, bit for bit: the projection
+    # once swept it again and moved it by up to 7.4e-15
+    assert np.array_equal(rebalance_marginals(out), out)
     # a NaN or infinite cell is refused before the first sweep
     for bad in (np.nan, np.inf, -np.inf):
         w = np.full((8, 8), 1.0 / 64)
@@ -379,6 +379,18 @@ def test_rebalance_marginals_projects():
         with pytest.raises(ValueError, match="non-finite"):
             rebalance_marginals(w)
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_rebalance_marginals_checks_the_total_as_well():
+    # every marginal 0.9e-13 off, so each is within the 1e-13 tolerance, but
+    # the total 32 times farther off: past the 1e-12 GridPermuton accepts
+    m = 32
+    w = np.full((m, m), 1.0 / m ** 2 + 0.9e-13 / m)
+    assert np.abs(w.sum(axis=1) - 1.0 / m).max() <= 1e-13
+    assert abs(w.sum() - 1.0) > 1e-12
+    out = rebalance_marginals(w)
+    assert abs(out.sum() - 1.0) <= 1e-13
+    GridPermuton(out)
 
 
 def test_segment_permuton_marginals():

@@ -91,6 +91,12 @@ def test_riemann_refinement_validates_levels():
     g = uniform_grid(8)
     with pytest.raises(ValueError):
         riemann_refinement(g, [3])
+    # a fractional level was once truncated: [2.5] gave [(2, H)]
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            riemann_refinement(g, [bad])
+    ((level, h),) = riemann_refinement(g, [np.int64(4)])
+    assert type(level) is int and (level, h) == (4, 0.0)
 
 
 def test_heat_flow_preserves_marginals_exactly():
@@ -145,3 +151,9 @@ def test_heat_flow_spec_validation():
     with pytest.raises(ValueError):
         HeatFlowSpec(0.0, j_max=0)
     HeatFlowSpec(0.0, j_max=3, k_max=None)
+    # a fractional cutoff once acted as the next integer
+    for name in ("j_max", "k_max"):
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                HeatFlowSpec(0.0, **{name: bad})
+    assert HeatFlowSpec(0.0, j_max=np.int64(3)).j_max == 3

@@ -16,8 +16,12 @@ second of start-up for them.  The third test checks both halves of that in
 a fresh interpreter.  Every value type holds its arrays read-only through
 one helper, ``core._frozen``; a test checks that no other code in the
 package sets an array flag.  Every exact density is a sum of the quadrant
-terms in one table, ``patterns._TERMS``; the last test checks that only
-``patterns._terms`` reads it.
+terms in one table, ``patterns._TERMS``; a test checks that only
+``patterns._terms`` reads it.  Two rules have one owner each, and the last
+test checks both: only ``rebalance_marginals`` decides that a grid is
+balanced (``entropy`` neither imports the tolerance nor sums marginals),
+and only ``patterns._trial_hits`` draws k-point Monte Carlo trials
+(``regions`` imports neither the sampler nor the matcher).
 """
 
 import ast
@@ -101,3 +105,28 @@ def test_only_the_term_walk_reads_the_term_table():
     sites = [no for no, line in enumerate(path.read_text().splitlines(), 1)
              if "_TERMS[" in line]
     assert sites and all(walk.lineno <= no <= walk.end_lineno for no in sites), sites
+
+
+def test_balance_and_sampling_each_have_one_owner():
+    src = ROOT / "src" / "permutons"
+    trees = {name: ast.parse((src / f"{name}.py").read_text())
+             for name in ("entropy", "regions", "patterns")}
+
+    def imported(name):
+        return {alias.name for node in ast.walk(trees[name])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def calls(name):
+        return [node for node in ast.walk(trees[name]) if isinstance(node, ast.Call)]
+
+    assert "MARGINAL_TOL" not in imported("entropy")
+    marginal_sums = [node.lineno for node in calls("entropy")
+                     if isinstance(node.func, ast.Attribute) and node.func.attr == "sum"
+                     and any(k.arg == "axis" for k in node.keywords)]
+    assert marginal_sums == []
+    assert not imported("regions") & {"sample_points", "_matches"}
+    draws = [node.lineno for node in calls("patterns")
+             if isinstance(node.func, ast.Name) and node.func.id == "sample_points"]
+    loop = next(node for node in ast.walk(trees["patterns"])
+                if isinstance(node, ast.FunctionDef) and node.name == "_trial_hits")
+    assert len(draws) == 1 and loop.lineno <= draws[0] <= loop.end_lineno, draws

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from permutons import (
+    PatternSpec,
     RegionCurve,
+    density_mc,
     dimple,
     gamma_ab,
     gamma_ab_sweep,
@@ -139,7 +141,6 @@ def test_sweep_cloud_stays_inside_region():
     # is the UPPER envelope of the cubic and its mirror: the two arcs cross
     # at the dimple and the region dents inward there, so each arc alone
     # would wrongly exclude boundary staircases of the other family.
-    from permutons import PatternSpec, density_mc
     td = np.linspace(0.0, 1.0, 4001)
     xs, ys = td ** 3, f1(td ** 3)
 
@@ -158,6 +159,18 @@ def test_sweep_cloud_stays_inside_region():
     # the b = 0 staircase saturates the cubic: its densities sit ON the arc
     x, y = 0.4 ** 3, f1(0.4 ** 3)
     assert y > f1_inv(x)  # so the single-arc test would reject it
+
+
+def test_sweep_draws_what_density_mc_draws():
+    # the rho_123 column is the density_mc estimate from each point's
+    # spawned generator: the sweep has no sampling loop of its own
+    a, frac, trials, seed = [0.3, 0.9], [0.25, 0.75], 3000, 17
+    rows = gamma_ab_sweep(a, frac, trials, seed)
+    seeds = np.random.SeedSequence(seed).spawn(len(rows))
+    for (ai, bi, _, r123), ss in zip(rows, seeds):
+        est = density_mc(gamma_ab(ai, bi), PatternSpec.parse("123"), trials,
+                         np.random.default_rng(ss))
+        assert est.value == r123
 
 
 def test_sweep_reproducibility():

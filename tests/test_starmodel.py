@@ -340,6 +340,30 @@ def test_solver_input_validation():
         solve_star(STAR23, (1.2, 0.3))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    # a NaN tolerance once ended the loop at once, reporting alpha = 0
+    ({"tol": math.nan}, "tol must be positive and finite"),
+    ({"tol": math.inf}, "tol must be positive and finite"),
+    ({"tol": 0.0}, "tol must be positive and finite"),
+    ({"tol": -1e-10}, "tol must be positive and finite"),
+    # a NaN target once passed the (0, 1) check and "converged"
+    ({"targets": [math.nan]}, "strictly inside"),
+    # a negative budget once raised ConvergenceError
+    ({"max_iter": -1}, "max_iter must be >= 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+])
+def test_solver_rejects_bad_settings_by_name(kwargs, match):
+    args = {"exponents": [(1, 0)], "targets": [0.3], **kwargs}
+    with pytest.raises(ValueError, match=match):
+        solve_star(**args)
+
+
+def test_model_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            StarModel(((1, 0, bad),))
+
+
 def test_star23_boundary_curves():
     t = np.array([0.0, 0.5, 1.0])
     lower, upper = region_star23_boundary(t)
