@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from permutons import cli
-from permutons.core import (GridPermuton, gamma_ab, grid_to_csv, rebalance_marginals,
+from permutons.core import (GridPermuton, Permutation, SegmentPermuton, gamma_ab,
+                            grid_from_permutation, grid_to_csv, rebalance_marginals,
                             sample_permutation, sample_points)
 from permutons.entropy import HeatFlowSpec, heat_flow, riemann_refinement
 from permutons.insertion import insertion_from_permuton, reconstruct, star12_family
@@ -124,10 +125,23 @@ def catalogue():
         yield f"sample_points/{src_name}", sample_points(src, 64, np.random.default_rng(1))
         yield f"sample_permutation/{src_name}", sample_permutation(src, 20, 2).values
         for lbl, trials, seed, n_points in (("123", 5000, 3, None), ("**3", 3000, 5, None),
-                                            ("132", 200, 4, 6)):
+                                            ("132", 200, 4, 6), ("12", 5000, 6, None),
+                                            ("21", 5000, 7, None), ("321", 5000, 8, None)):
             est = density_mc(src, PatternSpec.parse(lbl), trials, seed, n_points=n_points)
             yield (f"density_mc/{src_name}/{lbl}/n_points={n_points}",
                    [est.value, est.stderr, est.trials])
+    # draw tables that exercise each path of the cell or segment lookup: a
+    # grid whose cdf has long flat runs between jumps that fall inside guide
+    # buckets (a permutation of 192 at m = 64), a zero-mass segment, and 17
+    # segments
+    flat = grid_from_permutation(Permutation(np.random.default_rng(192).permutation(192) + 1), 64)
+    zero = np.vstack([gamma_ab(0.5, 0.1).segments, [0.2, 0.4, 0.3, 1.0, 0.0]])
+    for src_name, src in (("flat_grid", flat), ("zero_mass_segment", SegmentPermuton(zero)),
+                          ("segments17", gamma_ab(0.79, 0.05))):
+        yield f"sample_points/{src_name}", sample_points(src, 512, np.random.default_rng(9))
+        for lbl, trials, seed in (("12", 20000, 10), ("321", 20000, 11), ("132", 20000, 12)):
+            est = density_mc(src, PatternSpec.parse(lbl), trials, seed)
+            yield f"density_mc/{src_name}/{lbl}", [est.value, est.stderr, est.trials]
     yield "gamma_ab_sweep", gamma_ab_sweep([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], 2000, 7)
 
     # the star models
