@@ -39,14 +39,17 @@ each point, then places the point uniformly inside it.  The pick takes the
 same n uniforms as ``Generator.choice(p=...)`` and returns the same indices,
 ``searchsorted(cdf, u, side="right")`` on the table that ``choice`` builds,
 so every seeded stream is the one ``choice`` gives; only the search differs
-(a guide table in place of a binary search over the whole table, ``_guide``
-and ``_lookup``, for fewer than 2^31 categories).  A ``_Sampler`` holds that
-table for one source.  Each grid or segment permuton builds its own on its
-first draw and keeps it, so every later ``sample_points``,
-``sample_permutation`` or ``patterns.density_mc`` call on that permuton
-draws from the same table.  The table takes 16 bytes per category when the
-count of cells or segments is a power of two and less than 24 otherwise
-(4 MB for a 512 x 512 grid), for as long as the permuton lives.
+(``_guide`` and ``_lookup``, for fewer than 2^31 categories): a table of at
+most 16 categories counts the cdf values at or below each uniform, a larger
+one starts each point at its guide bucket and steps forward, and the few
+points still short after a few steps take the binary search.  A
+``_Sampler`` holds that table for one source.  Each grid or segment
+permuton builds its own on its first draw and keeps it, so every later
+``sample_points``, ``sample_permutation`` or ``patterns.density_mc`` call
+on that permuton draws from the same table.  The table takes 16 bytes per
+category when the count of cells or segments is a power of two and less
+than 24 otherwise (4 MB for a 512 x 512 grid), for as long as the permuton
+lives.
 
 Every value type of the package holds its arrays one way (``_frozen``): the
 constructor copies its input, and the array it keeps is a read-only view of
@@ -71,6 +74,11 @@ import numpy as np
 MARGINAL_TOL = 1e-12
 _REBALANCE_TOL = 1e-13
 _REBALANCE_MAX_ITER = 100_000
+# _lookup: tables of at most this many categories are counted directly (at
+# 150,000 uniforms the count beats the guide up to about 32 categories, at
+# 600,000 up to about 20), and guide steps before the binary search
+_SMALL_TABLE = 16
+_STEPS = 3
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -338,21 +346,39 @@ def _guide(weights: np.ndarray):
 
 
 def _lookup(table, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` through the guide table.
+    """``cdf.searchsorted(u, side="right")``, the count of cdf values <= u.
 
-    Each point starts at lo[b] for its bucket b = floor(u * B), which is at
-    most its index.  One step resolves almost every point; the rest take the
-    binary search.
+    A table of at most ``_SMALL_TABLE`` categories counts them directly, one
+    comparison pass per value (cdf[-1] = 1 > u is never counted).  A larger
+    one goes through the guide: each point starts at lo[b] for its bucket
+    b = floor(u * B), which is at most its index, and steps forward while
+    its cdf value is <= u, all points once and the points still short up to
+    ``_STEPS`` more times; the few left take the binary search.
     """
     cdf, lo, B = table
+    if cdf.size <= _SMALL_TABLE:
+        # the count fits in uint8; indices gather fastest as intp
+        count = np.zeros(u.size, dtype=np.uint8)
+        below = np.empty(u.size, dtype=bool)
+        for c in cdf[:-1]:
+            np.less_equal(c, u, out=below)
+            count += below
+        return count.astype(np.intp)
     # u * B < B <= 2^31, and the int32 conversion vectorizes where the
     # int64 one does not
     idx = lo.take((u * B).astype(np.int32))
-    # cdf[-1] = 1 > b / B, so lo[b] < N and every cdf[idx] below is in range
+    # cdf[-1] = 1 > u, so a point with cdf[idx] <= u has idx < N - 1 and
+    # every step stays in range
     idx += cdf.take(idx) <= u
     rest = np.flatnonzero(cdf.take(idx) <= u)
+    for _ in range(_STEPS):
+        if not rest.size:
+            return idx
+        step = idx.take(rest) + 1
+        idx[rest] = step
+        rest = rest[cdf.take(step) <= u.take(rest)]
     if rest.size:
-        idx[rest] = cdf.searchsorted(u[rest], side="right")
+        idx[rest] = cdf.searchsorted(u.take(rest), side="right")
     return idx
 
 
@@ -362,9 +388,12 @@ class _Sampler:
 
     A grid keeps the guide table of its m^2 cells; a segment permuton keeps
     the guide table of its masses and contiguous x0, x1 - x0, y0 and slope
-    columns.  ``points`` builds x and y in place on the uniform arrays it
-    draws, with the arithmetic of x = (ix + U) / m, or of
-    x = x0 + (x1 - x0) U and y = y0 + slope (x - x0), in that order.
+    columns.  ``points`` picks cells or segments through ``_lookup``, by a
+    direct count for at most ``_SMALL_TABLE`` of them (up to 16 segments, or
+    a grid with m <= 4), through the guide otherwise.  It builds x and y in
+    place on the uniform arrays it draws, with the arithmetic of
+    x = (ix + U) / m, or of x = x0 + (x1 - x0) U and y = y0 + slope (x - x0),
+    in that order.
     """
 
     def __init__(self, source: GridPermuton | SegmentPermuton):
@@ -382,7 +411,9 @@ class _Sampler:
         m = self.m
         if m is not None:
             # cells < m^2 < 2^31; int32 division vectorizes, int64 division
-            # does not (the int64 indices are freed before x and y are drawn)
+            # does not (the int64 indices are freed before x and y are drawn).
+            # cell // m and a subtraction are faster than divmod but raised
+            # the peak RSS of a 10^6-trial estimate by 3 MB (heap placement)
             ix, iy = np.divmod(_lookup(self.table, rng.random(n)).astype(np.int32), m)
             x = rng.random(n)
             x += ix

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, _frozen, _reduce, cdf, rebalance_marginals
+from .core import GridPermuton, _as_count, _frozen, _reduce, cdf, rebalance_marginals
 from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
@@ -175,7 +175,7 @@ def reconstruct(fam: InsertionFamily, m_out: int,
 
     ``step`` is the largest RK4 step of the shared time grid (module doc).
     """
-    if m_out < 1:
+    if _as_count(m_out, "m_out") < 1:
         raise ValueError("m_out must be >= 1")
     if not 0 < step <= 0.5:
         raise ValueError("step must lie in (0, 1/2]")

@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridPermuton, cdf, rebalance_marginals
+from .core import GridPermuton, _as_count, cdf, rebalance_marginals
 from .entropy import entropy_grid
 from .patterns import PatternSpec, _hessian_operator, density_grid_exact_with_grad
 
@@ -180,14 +180,14 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
     returns the best feasible result (the maximizer is proven unique only
     for star constraints).
     """
-    if m < 8:
+    if _as_count(m, "m") < 8:
         raise ValueError("resolution m must be >= 8")
     for name, tol in (("tol_constraint", tol_constraint), ("tol_grad", tol_grad)):
         if not 0.0 < tol < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
     for name, count, least in (("max_inner", max_inner, 1), ("max_outer", max_outer, 1),
                                ("restarts", restarts, 0)):
-        if count < least:
+        if _as_count(count, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {count}")
     if isinstance(cons, (list, tuple)):
         cons = ConstraintSet(tuple(cons))

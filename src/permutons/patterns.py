@@ -48,12 +48,15 @@ Monte Carlo densities draw k points per trial, 200,000 trials at a time,
 in one loop (``_trial_hits``) that also serves the staircase sweep in
 ``regions``, and report the binomial standard error.  One matcher,
 ``_matches``, decides which rows of k points realize a pattern, for these
-trials and for ``pattern_count``; it ranks by pairwise comparison, in the
-narrowest integer type that holds k.  The subset estimator (n_points > k)
-draws each trial as ``sample_permutation`` does and counts the C(n, k)
-subsets of many trials in one blocked pass (``_subset_counts``), of which
-``pattern_count`` is the one-permutation case.  Both estimators draw from
-the table the source permuton keeps, which its first draw builds.
+trials and for ``pattern_count``.  The identity and reversal patterns (12,
+21, 123, 321, ...) take no ranks: a row realizes one exactly when each
+pair of points compares the same way in x and in y, or the opposite way
+(``_pairs_agree``).  Every other pattern is ranked by pairwise comparison,
+in the narrowest integer type that holds k.  The subset estimator
+(n_points > k) draws each trial as ``sample_permutation`` does and counts
+the C(n, k) subsets of many trials in one blocked pass (``_subset_counts``),
+of which ``pattern_count`` is the one-permutation case.  Both estimators
+draw from the table the source permuton keeps, which its first draw builds.
 """
 
 from __future__ import annotations
@@ -210,9 +213,13 @@ def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> np.ndarray:
 
     The point of x-rank a must have y-rank tau[a]; for a star class *...*l
     only the point of x-rank k is checked, against y-rank l.  Ranks
-    (``_ranks``) are held in the narrowest integer type that holds k.
+    (``_ranks``) are held in the narrowest integer type that holds k.  The
+    identity and the reversal of length k >= 2 skip the ranks: their masks
+    come from ``_pairs_agree``.
     """
     k = y.shape[-1]
+    if k >= 2 and tau.values in (tuple(range(1, k + 1)), tuple(range(k, 0, -1))):
+        return _pairs_agree(x, y, flip=tau.values[0] == k)
     dtype = np.min_scalar_type(k)
     rx, ry = _ranks(x, dtype), _ranks(y, dtype)
     if tau.star is not None:
@@ -220,6 +227,27 @@ def _matches(x: np.ndarray, y: np.ndarray, tau: PatternSpec) -> np.ndarray:
         return np.any([(a == k - 1) & (b == ell - 1) for a, b in zip(rx, ry)], axis=0)
     want = np.asarray(tau.values, dtype=dtype) - 1
     return np.all([b == want.take(a) for a, b in zip(rx, ry)], axis=0)
+
+
+def _pairs_agree(x: np.ndarray, y: np.ndarray, flip: bool) -> np.ndarray:
+    """Where every pair i < j of the k points compares the same way in x
+    and in y, (x_i <= x_j) == (y_i <= y_j), or, with ``flip``, the opposite
+    way: the ``_matches`` mask of the identity pattern, or of its reversal.
+
+    Exact with ties too: ``_ranks`` turns each set of pair comparisons into
+    a different permutation (the ranks order the points by coordinate, then
+    by position), so the x-ranks equal the y-ranks exactly when all pairs
+    agree; reversing the ranks flips every comparison.
+    """
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    ok = np.ones(shape, dtype=bool)
+    pair = np.empty(shape, dtype=bool)
+    same = np.not_equal if flip else np.equal
+    for i, j in itertools.combinations(range(y.shape[-1]), 2):
+        np.less_equal(y[..., i], y[..., j], out=pair)
+        same(x[..., i] <= x[..., j], pair, out=pair)
+        ok &= pair
+    return ok
 
 
 def _prefix(w: np.ndarray) -> np.ndarray:

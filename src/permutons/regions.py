@@ -50,6 +50,9 @@ class RegionCurve:
         pts = np.array(self.points, dtype=np.float64)
         if t.ndim != 1 or pts.shape != (t.size, 2):
             raise ValueError("need t of shape (n,) and points of shape (n, 2)")
+        # NaN passes every comparison below, so it is refused up front
+        if not (np.isfinite(t).all() and np.isfinite(pts).all()):
+            raise ValueError("curve parameter and points must be finite")
         if t.size >= 2 and np.any(np.diff(t) <= 0):
             raise ValueError("curve parameter must be strictly increasing")
         if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):

@@ -273,7 +273,7 @@ class StarModel:
         for r, s in pairs:
             if r < 0 or s < 0 or r + s + 1 < 2:
                 raise ValueError(f"bad exponent pair ({r}, {s}); need k = r+s+1 >= 2")
-        if self.quad < 8:
+        if _as_count(self.quad, "quad") < 8:
             raise ValueError("need at least 8 quadrature nodes")
         object.__setattr__(self, "terms", terms)
 

@@ -539,6 +539,24 @@ def test_draw_on_a_large_table_is_searchsorted():
         _lookup(_guide(np.broadcast_to(1.0, (1 << 31,))), u)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_masses, min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
+       st.integers(0, 2**32 - 1))
+def test_lookup_is_searchsorted_on_both_branches(weights, seed):
+    # tables of 1 to 40 categories, with empty ones, on both sides of the
+    # small-table threshold; runs of empty categories make the guide steps
+    # run out and reach the binary search.  Uniforms at and just below
+    # every cdf value, at every bucket edge b / B, at 0 and at the largest
+    # uniform below 1, and random ones
+    from permutons.core import _guide, _lookup
+    table = _guide(np.array(weights))
+    cdf, _, B = table
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate([inner, np.nextafter(inner, 0.0), np.arange(B) / B,
+                        [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(seed).random(256)])
+    assert np.array_equal(_lookup(table, u), cdf.searchsorted(u, side="right"))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.lists(_masses, min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
        st.integers(1, 9), st.sampled_from(["zero", "one", "below", "above"]),

@@ -134,7 +134,8 @@ def catalogue():
     # grid whose cdf has long flat runs between jumps that fall inside guide
     # buckets (a permutation of 192 at m = 64), a zero-mass segment, and 17
     # segments
-    flat = grid_from_permutation(Permutation(np.random.default_rng(192).permutation(192) + 1), 64)
+    pi = Permutation(np.random.default_rng(192).permutation(192) + 1)
+    flat = grid_from_permutation(pi, 64)
     zero = np.vstack([gamma_ab(0.5, 0.1).segments, [0.2, 0.4, 0.3, 1.0, 0.0]])
     for src_name, src in (("flat_grid", flat), ("zero_mass_segment", SegmentPermuton(zero)),
                           ("segments17", gamma_ab(0.79, 0.05))):

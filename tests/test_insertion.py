@@ -280,3 +280,8 @@ def test_reconstruct_validates_arguments():
     # one column leaves the field nothing to interpolate between
     with pytest.raises(ValueError, match="mt >= 2"):
         reconstruct(flat_family(1, 8), 4)
+
+
+def test_reconstruct_refuses_a_fractional_resolution_by_name():
+    with pytest.raises(ValueError, match="m_out must be an integer"):
+        reconstruct(flat_family(8, 8), 8.5)

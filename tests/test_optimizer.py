@@ -197,6 +197,15 @@ def test_invalid_arguments_are_rejected(kwargs):
         maximize_entropy(ConstraintSet.of(("12", 0.3)), 8, **kwargs)
 
 
+def test_fractional_counts_are_refused_by_name():
+    cons = ConstraintSet.of(("12", 0.3))
+    with pytest.raises(ValueError, match="m must be an integer"):
+        maximize_entropy(cons, 16.5)
+    for name in ("max_inner", "max_outer", "restarts"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            maximize_entropy(cons, 8, **{name: 2.5})
+
+
 @pytest.mark.parametrize("exc", [
     RuntimeError("marginal rebalancing did not reach 1.0e-13"),
     ValueError("cannot rebalance: non-finite mass"),

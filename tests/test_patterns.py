@@ -398,6 +398,49 @@ def test_subset_counts_match_pattern_count():
         assert _subset_counts(values, tau).tolist() == each
 
 
+def _ranks_mask(x, y, tau):
+    """The mask of the ranks path of _matches, for an explicit pattern."""
+    from permutons.patterns import _ranks
+    want = np.asarray(tau.values) - 1
+    rx, ry = _ranks(x, np.intp), _ranks(y, np.intp)
+    return np.all([b == want.take(a) for a, b in zip(rx, ry)], axis=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.booleans(), st.integers(1, 4),
+       st.sampled_from(["rows", "subsets", "subsets-flipped"]), st.integers(0, 2**32 - 1))
+def test_monotone_matcher_equals_ranks(k, reverse, levels, shape, seed):
+    # the identity and the reversal take the pair-agreement path of
+    # _matches; coordinates on a few levels make ties common, and the
+    # leading axes broadcast as in the trial loop (equal shapes) and in
+    # _subset_counts (index rows against (trials, rows) values)
+    from permutons.patterns import _matches
+    tau = PatternSpec.explicit(range(k, 0, -1) if reverse else range(1, k + 1))
+    rng = np.random.default_rng(seed)
+
+    def coords(*lead):
+        return rng.integers(0, levels, size=lead + (k,)).astype(np.float64)
+
+    x, y = {"rows": (coords(50), coords(50)),
+            "subsets": (coords(12), coords(7, 12)),
+            "subsets-flipped": (coords(7, 12), coords(12))}[shape]
+    got = _matches(x, y, tau)
+    assert got.dtype == bool and got.shape == np.broadcast_shapes(x.shape, y.shape)[:-1]
+    assert np.array_equal(got, _ranks_mask(x, y, tau))
+
+
+def test_subset_counts_of_monotone_patterns_match_pattern_count():
+    # the pair-agreement path under _subset_counts' broadcast, against a
+    # count of the increasing and decreasing subsequences
+    from permutons.patterns import _subset_counts
+    values = np.array([np.random.default_rng(s).permutation(9) for s in range(6)])
+    for lab in ("12", "21", "123", "321", "1234", "4321"):
+        k, sign = len(lab), 1 if lab[0] == "1" else -1
+        want = [sum(all(sign * (row[b] - row[a]) > 0 for a, b in zip(c, c[1:]))
+                    for c in itertools.combinations(range(9), k)) for row in values]
+        assert _subset_counts(values, PatternSpec.parse(lab)).tolist() == want
+
+
 def test_mc_density_rejects_bad_counts():
     g, tau = uniform_grid(3), PatternSpec.parse("12")
     for bad in (2.5, 3.0, "10", True, np.bool_(True)):

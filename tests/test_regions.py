@@ -74,6 +74,18 @@ def test_region_input_validation():
         region_star23_boundary(np.array([0.0, 1.2]))
 
 
+def test_region_curves_refuse_non_finite_values():
+    # NaN passes both the monotone and the unit-square comparisons, so it
+    # once came back as a NaN point on every curve
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            region_123_321([0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            RegionCurve("c", [0.0, 1.0], [[0.0, 0.0], [bad, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            RegionCurve("c", [0.0, bad], [[0.0, 0.0], [0.5, 0.5]])
+
+
 def test_dimple_point():
     s, r = dimple()
     assert r == pytest.approx(s ** 3, abs=1e-12)

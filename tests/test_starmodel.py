@@ -351,6 +351,7 @@ def test_solver_input_validation():
     # a negative budget once raised ConvergenceError
     ({"max_iter": -1}, "max_iter must be >= 0"),
     ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"quad": 16.5}, "quad must be an integer"),
 ])
 def test_solver_rejects_bad_settings_by_name(kwargs, match):
     args = {"exponents": [(1, 0)], "targets": [0.3], **kwargs}
@@ -362,6 +363,11 @@ def test_model_rejects_non_finite_coefficients():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             StarModel(((1, 0, bad),))
+
+
+def test_model_refuses_a_fractional_node_count_by_name():
+    with pytest.raises(ValueError, match="quad must be an integer"):
+        StarModel(((1, 0, 0.5),), quad=16.5)
 
 
 def test_star23_boundary_curves():
