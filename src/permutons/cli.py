@@ -196,8 +196,7 @@ def _cmd_solve_star(args, scalars) -> int:
     exps = _parse_terms(args.terms)
     targets = [float(v) for v in args.targets.split(",")]
     try:
-        sol = solve_star(exps, targets, quad=args.quad, tol=args.tol,
-                         max_iter=args.max_iter)
+        sol = solve_star(exps, targets, tol=args.tol, max_iter=args.max_iter)
     except ConvergenceError as exc:
         result = {"converged": False, "message": str(exc),
                   "residual": exc.residual,
@@ -456,12 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_star12)
 
     sp = sub.add_parser("solve-star", parents=[common],
-                        help="Newton solution of a star model")
+                        help="Newton solution of a star model (self-refining quadrature)")
     sp.add_argument("--terms", required=True,
                     help="exponent pairs 'r,s;r,s;...' (k_i = r_i + s_i + 1)")
     sp.add_argument("--targets", required=True,
                     help="comma-separated target densities, one per pair")
-    sp.add_argument("--quad", type=int, default=96, help="quadrature nodes")
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="residual tolerance on the scaled densities")
     sp.add_argument("--max-iter", type=int, default=100, help="Newton cap")

@@ -232,7 +232,7 @@ class Permutation:
 
 def uniform_grid(m: int) -> GridPermuton:
     """The uniform (Lebesgue) permuton at resolution m: every cell mass 1/m^2."""
-    if m < 1:
+    if _as_count(m, "m") < 1:
         raise ValueError("m must be >= 1")
     return GridPermuton(np.full((m, m), 1.0 / (m * m)))
 
@@ -245,8 +245,7 @@ def grid_from_permutation(pi: Permutation, m: int | None = None) -> GridPermuton
     blocks aggregate exactly (each point block lies inside one coarse cell).
     """
     n = pi.n
-    if m is None:
-        m = n
+    m = n if m is None else _as_count(m, "m")
     if m < 1 or n % m != 0:
         raise ValueError(f"resolution m={m} must divide the permutation length n={n}")
     w = np.zeros((m, m))
@@ -308,7 +307,7 @@ def cdf_linf_distance(g1: GridPermuton, g2: GridPermuton) -> float:
 def coarsen(g: GridPermuton, m2: int) -> GridPermuton:
     """Aggregate cell masses into an m2 x m2 grid; m2 must divide m."""
     m = g.m
-    if m2 < 1 or m % m2 != 0:
+    if _as_count(m2, "m2") < 1 or m % m2 != 0:
         raise ValueError(f"target resolution {m2} must divide {m}")
     k = m // m2
     w = g.w.reshape(m2, k, m2, k).sum(axis=(1, 3))
@@ -539,6 +538,8 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
     GridPermuton accepts.  A grid already there comes back as it is.
     """
     w = np.array(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise ValueError(f"cannot rebalance: shape {w.shape} is not a nonempty square")
     m = w.shape[0]
     target = 1.0 / m
     rows = w.sum(axis=1)

@@ -294,15 +294,23 @@ def family_from_csv(text: str) -> InsertionFamily:
         if key not in head:
             raise ValueError(f"family CSV header {lines[0]!r} has no '{key}=<int>' entry")
     mt, my = int(head["mt"]), int(head["my"])
-    xs = column_x(mt)
-    cols = [np.zeros(column_cells(x, my)) for x in xs]
-    seen = [np.zeros(col.size, dtype=bool) for col in cols]
-    for i, ln in enumerate(lines[1:]):
-        fields = ln.split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, fields in enumerate(rows):
         if len(fields) != 3:
             raise ValueError(f"data line {i + 1} has {len(fields)} fields, "
                              "expected 3 (x index, y index, density)")
-        cs, ks, vs = fields
+    # every column has at least 8 cells, so a file with fewer than 8 * mt
+    # data lines is refused before the layout is built
+    short = ValueError(f"family CSV has {len(rows)} data lines, fewer than "
+                       f"the mt={mt}, my={my} layout needs")
+    if len(rows) < 8 * mt:
+        raise short
+    sizes = [column_cells(x, my) for x in column_x(mt)]
+    if len(rows) < sum(sizes):
+        raise short
+    cols = [np.zeros(n) for n in sizes]
+    seen = [np.zeros(n, dtype=bool) for n in sizes]
+    for cs, ks, vs in rows:
         c, k = int(cs) - 1, int(ks) - 1
         if not (0 <= c < mt and 0 <= k < cols[c].size):
             raise ValueError(f"triple ({cs}, {ks}) outside the family layout")

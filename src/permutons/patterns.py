@@ -94,14 +94,14 @@ class PatternSpec:
         if (self.values is None) == (self.star is None):
             raise ValueError("specify exactly one of explicit values or star class")
         if self.values is not None:
-            v = tuple(int(x) for x in self.values)
+            v = tuple(_as_count(x, "pattern symbol") for x in self.values)
             if not v:
                 raise ValueError("a pattern needs at least one symbol")
             if sorted(v) != list(range(1, len(v) + 1)):
                 raise ValueError(f"pattern {v} is not a bijection on 1..k")
             object.__setattr__(self, "values", v)
         else:
-            k, ell = (int(x) for x in self.star)
+            k, ell = (_as_count(x, name) for x, name in zip(self.star, ("k", "ell")))
             if not 1 <= ell <= k:
                 raise ValueError(f"star class needs 1 <= ell <= k, got ({k}, {ell})")
             object.__setattr__(self, "star", (k, ell))

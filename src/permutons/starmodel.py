@@ -13,8 +13,11 @@ exponential family whose normalized free energy is
 
 where the additive 1 is the Stirling constant (log n!/n ~ log n - 1) that
 makes F(0) = 0.  The substitution t = x u turns each inner integral into a
-smooth integral over [0, 1], so fixed Gauss-Legendre quadrature converges
-spectrally.  Derivatives have the classical exponential-family form: the
+smooth integral over [0, 1], so Gauss-Legendre quadrature converges
+spectrally.  The integrand sharpens as |alpha| grows, so the node count is
+not a setting: each result is checked against twice the nodes, and the
+count doubles from 96 until the two agree (up to 768 per axis).
+Derivatives have the classical exponential-family form: the
 gradient is the integrated tilted expectation of the monomials and the
 Hessian is the integrated covariance matrix, hence symmetric positive
 definite and F strictly convex in alpha.  The entropy of the constrained
@@ -74,6 +77,9 @@ _BISECT_TOL = 1e-12
 _FLAT_RATE = 1e-100
 # Step halvings a damped Newton step may take before solve_star gives up.
 _MAX_HALVINGS = 30
+# First and largest Gauss-Legendre node count per axis of the star quadrature.
+_QUAD = 96
+_MAX_QUAD = 768
 
 
 class ConvergenceError(RuntimeError):
@@ -254,28 +260,31 @@ def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
     return out.ravel()[:a.size]
 
 
+def _exponent_pairs(pairs) -> list[tuple[int, int]]:
+    """Integer pairs (r, s): at least one, distinct, each with k = r+s+1 >= 2."""
+    exps = [(_as_count(r, "exponent r"), _as_count(s, "exponent s")) for r, s in pairs]
+    if not exps:
+        raise ValueError("model needs at least one term")
+    if len(set(exps)) != len(exps):
+        raise ValueError("exponent pairs must be distinct")
+    for r, s in exps:
+        if r < 0 or s < 0 or r + s + 1 < 2:
+            raise ValueError(f"bad exponent pair ({r}, {s}); need k = r+s+1 >= 2")
+    return exps
+
+
 @dataclass(frozen=True)
 class StarModel:
-    """Exponent pairs and coefficients of ptilde; quad is the node count."""
+    """Exponent pairs and coefficients of ptilde."""
 
     terms: tuple[tuple[int, int, float], ...]
-    quad: int = 96
 
     def __post_init__(self):
-        terms = tuple((int(r), int(s), float(a)) for r, s, a in self.terms)
-        if not terms:
-            raise ValueError("model needs at least one term")
-        if not all(math.isfinite(a) for _, _, a in terms):
-            raise ValueError(f"coefficients must be finite, got {[a for _, _, a in terms]}")
-        pairs = [(r, s) for r, s, _ in terms]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("exponent pairs must be distinct")
-        for r, s in pairs:
-            if r < 0 or s < 0 or r + s + 1 < 2:
-                raise ValueError(f"bad exponent pair ({r}, {s}); need k = r+s+1 >= 2")
-        if _as_count(self.quad, "quad") < 8:
-            raise ValueError("need at least 8 quadrature nodes")
-        object.__setattr__(self, "terms", terms)
+        exps = _exponent_pairs([(r, s) for r, s, _ in self.terms])
+        alpha = [float(a) for _, _, a in self.terms]
+        if not all(math.isfinite(a) for a in alpha):
+            raise ValueError(f"coefficients must be finite, got {alpha}")
+        object.__setattr__(self, "terms", tuple((r, s, a) for (r, s), a in zip(exps, alpha)))
 
     @property
     def alpha(self) -> np.ndarray:
@@ -336,16 +345,22 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     return F, grad, hess
 
 
-def _fe_checked(exponents, alpha, nquad):
-    """Evaluate at nquad and 2*nquad; refuse silently inaccurate quadrature."""
-    F1, g1, h1 = _fe_parts(exponents, alpha, nquad)
-    F2, g2, h2 = _fe_parts(exponents, alpha, 2 * nquad)
-    gap = abs(F1 - F2)
-    if gap > 1e-6 * max(1.0, abs(F2)):
-        raise ConvergenceError(
-            f"free-energy quadrature did not converge at quad = {nquad} "
-            f"(refinement residual {gap:.3e}); raise quad", gap, alpha)
-    return F2, g2, h2
+def _fe_checked(exponents, alpha, nquad, scaled=None, tol=0.0):
+    """(F, grad, hess) at 2*nquad nodes, and whether nquad nodes resolve them:
+    F within 1e-6 max(1, |F|) and, with ``scaled`` given, the residual
+    |grad - scaled| within ``tol``.  Unresolved at _MAX_QUAD nodes, it raises
+    the one ConvergenceError for an under-resolved quadrature."""
+    F1 = _fe_parts(exponents, alpha, nquad)[0]
+    parts = _fe_parts(exponents, alpha, 2 * nquad)
+    miss = abs(F1 - parts[0])
+    if miss <= 1e-6 * max(1.0, abs(parts[0])):
+        miss = 0.0 if scaled is None else float(np.abs(parts[1] - scaled).max())
+        if miss <= tol:
+            return parts, True
+    if nquad >= _MAX_QUAD:
+        raise ConvergenceError(f"free-energy quadrature under-resolved at quad = "
+                               f"{nquad} (residual {miss:.3e})", miss, alpha)
+    return parts, False
 
 
 def _k_factorials(exps) -> np.ndarray:
@@ -361,33 +376,32 @@ def _solution(exps, alpha, parts, newton_iterations: int) -> StarSolution:
 
 
 def evaluate_star(model: StarModel) -> StarSolution:
-    """Free energy, densities, entropy and Hessian at the model's alpha.
-
-    One evaluation at quad and 2*quad nodes (ConvergenceError if the two
-    disagree on F); newton_iterations is 0.
-    """
+    """Free energy, densities, entropy and Hessian at the model's alpha, on
+    _QUAD nodes doubled while F disagrees at twice the count (_fe_checked,
+    which raises ConvergenceError past _MAX_QUAD); newton_iterations is 0."""
     exps = [(r, s) for r, s, _ in model.terms]
     alpha = model.alpha
-    return _solution(exps, alpha, _fe_checked(exps, alpha, model.quad), 0)
+    nquad = _QUAD
+    while not (checked := _fe_checked(exps, alpha, nquad))[1]:
+        nquad *= 2
+    return _solution(exps, alpha, checked[0], 0)
 
 
-def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
+def solve_star(exponents, targets, tol: float = 1e-10,
                max_iter: int = 100) -> StarSolution:
     """Newton inversion of grad F(alpha) = targets / k! with step halving.
 
     ``exponents`` is a sequence of (r_i, s_i); ``targets`` the desired star
     densities rho_i.  The Hessian is SPD, so the Newton direction always
     exists; damping halves the step until the residual decreases.  Failure to
-    reach the residual tolerance signals a target on or outside the feasible
-    region (boundary permutons have entropy -inf and |alpha| -> inf).  A
-    solution whose residual at 2*quad nodes exceeds ``tol`` raises a
-    ConvergenceError that names the quadrature.  ``tol`` must be positive
-    and finite, ``max_iter`` a nonnegative integer and every target inside
-    (0, 1); anything else raises ValueError.
+    reach it in ``max_iter`` steps in all signals a target on or outside the
+    feasible region (boundary permutons have entropy -inf and |alpha| -> inf).
+    Newton starts on _QUAD nodes and continues from alpha on twice the nodes
+    while F or the residual there misses (_fe_checked).
+    ``tol`` must be positive and finite, ``max_iter`` a nonnegative integer
+    and every target inside (0, 1); anything else raises ValueError.
     """
-    exps = [(int(r), int(s)) for r, s in exponents]
-    # construct a throwaway model so the exponent invariants are enforced here
-    StarModel(tuple((r, s, 0.0) for r, s in exps), quad)
+    exps = _exponent_pairs(exponents)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (len(exps),):
         raise ValueError("one target density per exponent pair")
@@ -401,11 +415,20 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     scaled = targets / _k_factorials(exps)
     alpha = np.zeros(len(exps))
-    _, grad, hess = _fe_parts(exps, alpha, quad)
-    res = grad - scaled
-    rnorm = float(np.abs(res).max())
+    nquad = _QUAD
+    _, grad, hess = _fe_parts(exps, alpha, nquad)
     iters = 0
-    while rnorm > tol:
+    while True:
+        res = grad - scaled
+        rnorm = float(np.abs(res).max())
+        if rnorm <= tol:
+            # confirm quadrature accuracy at the solution, else double the nodes
+            parts, resolved = _fe_checked(exps, alpha, nquad, scaled, tol)
+            if resolved:
+                return _solution(exps, alpha, parts, iters)
+            nquad *= 2
+            _, grad, hess = parts
+            continue
         if iters >= max_iter:
             raise ConvergenceError(
                 f"Newton did not converge in {max_iter} iterations "
@@ -422,12 +445,9 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = alpha - scale * step
-            _, gt, ht = _fe_parts(exps, trial, quad)
-            rt = float(np.abs(gt - scaled).max())
-            if rt < rnorm:
+            _, gt, ht = _fe_parts(exps, trial, nquad)
+            if float(np.abs(gt - scaled).max()) < rnorm:
                 alpha, grad, hess = trial, gt, ht
-                res = gt - scaled
-                rnorm = rt
                 break
             scale *= 0.5
         else:
@@ -436,11 +456,3 @@ def solve_star(exponents, targets, quad: int = 96, tol: float = 1e-10,
                 "iterations; targets likely on or outside the feasible region",
                 rnorm, alpha)
         iters += 1
-    # confirm quadrature accuracy at the solution
-    parts = _fe_checked(exps, alpha, quad)
-    refined = float(np.abs(parts[1] - scaled).max())
-    if refined > tol:
-        raise ConvergenceError(
-            f"free-energy quadrature under-resolved at quad = {quad} (residual "
-            f"{refined:.3e} at 2*quad nodes, tol {tol:.1e}); raise quad", refined, alpha)
-    return _solution(exps, alpha, parts, iters)

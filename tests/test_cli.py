@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permutons import starmodel
 from permutons.cli import _THREAD_VARS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,7 +156,7 @@ def test_missing_input_file_exits_2(tmp_path):
     assert main(["entropy", "--in", str(tmp_path / "absent.csv")]) == 2
 
 
-def test_solver_divergence_exits_3_with_diagnostics(tmp_path):
+def test_solver_divergence_exits_3_with_diagnostics(tmp_path, monkeypatch):
     out = tmp_path / "sol.json"
     man = tmp_path / "m.json"
     code = main(["solve-star", "--terms", "1,0;2,0", "--targets", "0.5,0.2",
@@ -168,16 +169,27 @@ def test_solver_divergence_exits_3_with_diagnostics(tmp_path):
     record = json.loads(load(man))
     assert record["exit_code"] == 3
     assert record["scalars"]["converged"] is False
-    # feasible, but 2e-4 above the lower curve the default quadrature cannot
-    # resolve the solution; the failure still writes its diagnostics
+    # feasible, but 2e-4 above the lower curve 96 nodes cannot resolve the
+    # solution; with the node cap there the quadrature failure still writes
+    # its diagnostics
+    monkeypatch.setattr(starmodel, "_MAX_QUAD", 96)
     target = (2.0 ** 0.5 - 1.0) / 2.0 + 2e-4
     code = main(["solve-star", "--terms", "1,0;2,0", "--targets", f"0.5,{target!r}",
-                 "--out", str(out)])
+                 "--out", str(out), "--manifest", str(man)])
     assert code == 3
     diag = json.loads(load(out))
     assert diag["converged"] is False
-    assert "quadrature" in diag["message"]
+    assert "quadrature" in diag["message"] and "quad = 96" in diag["message"]
     assert diag["residual"] > 0.0
+    assert len(diag["alpha"]) == 2
+    assert json.loads(load(man))["exit_code"] == 3
+
+
+def test_solve_star_has_no_quadrature_option(capsys):
+    # the node count follows from the solver's own refinement check
+    assert main(["solve-star", "--terms", "1,0;2,0", "--targets", "0.5,0.3",
+                 "--quad", "96"]) == 2
+    assert "--quad" in capsys.readouterr().err
 
 
 def test_solver_success_json(tmp_path):

@@ -361,6 +361,19 @@ def test_coarsen_sums_blocks():
         rect_distance(g, c)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: uniform_grid(2.5), "m must be an integer"),
+    (lambda: uniform_grid(True), "m must be an integer"),
+    (lambda: grid_from_permutation(Permutation(np.array([2, 4, 1, 3])), 2.0),
+     "m must be an integer"),
+    (lambda: coarsen(uniform_grid(4), 2.0), "m2 must be an integer"),
+])
+def test_grid_counts_refuse_non_integers_by_name(call, match):
+    # each once raised a bare TypeError, which the CLI does not catch
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_rebalance_marginals_projects():
     rng = np.random.default_rng(3)
     w = rng.uniform(0.1, 1.0, size=(6, 6))
@@ -378,6 +391,13 @@ def test_rebalance_marginals_projects():
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="non-finite"):
             rebalance_marginals(w)
+        assert time.perf_counter() - t0 < 0.1
+    # so is a shape that is not a nonempty square: (2, 3) once ran every
+    # sweep and then reported a stall, and the others failed inside numpy
+    for shape in ((2, 3), (0, 0), (4,), (2, 2, 2)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            rebalance_marginals(np.full(shape, 0.25))
         assert time.perf_counter() - t0 < 0.1
 
 

@@ -159,6 +159,15 @@ def catalogue():
         sol = solve_star(exps, targets)
         yield (f"solve_star/{exps}", [sol.alpha, sol.densities, sol.free_energy, sol.entropy,
                                       sol.hessian, sol.newton_iterations])
+    # targets just above the star23 lower curve, solved on refined nodes, and
+    # coefficients that 96 nodes do not resolve
+    low = (np.sqrt(2.0) - 1.0) / 2.0
+    for d in (2e-4, 5e-5):
+        sol = solve_star([(1, 0), (2, 0)], [0.5, low + d])
+        yield (f"solve_star/star23-lower+{d}", [sol.alpha, sol.densities, sol.free_energy,
+                                                sol.entropy, sol.hessian, sol.newton_iterations])
+    sol = evaluate_star(StarModel(((1, 0, 2.3e4), (2, 0, -7.7e4))))
+    yield "evaluate_star/large_alpha", [sol.densities, sol.free_energy, sol.entropy, sol.hessian]
     yield "mahonian_log_gf/12", mahonian_log_gf(12)
     yield "ldp_estimate", [ldp_estimate(n, 0.4, 0.05) for n in (20, 40)]
 

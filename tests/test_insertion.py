@@ -18,6 +18,7 @@ midpoint, which ``per_column_reference`` does.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ def test_family_csv_rejects_malformed_input():
             InsertionFamily(fam.mt, fam.my, tuple(cols))
     with pytest.raises(ValueError, match="non-finite"):
         family_from_csv("\n".join([lines[0], "1,1,nan", *lines[2:]]) + "\n")
+
+
+def test_family_csv_refuses_a_short_file_before_allocating():
+    # the header's layout once was allocated first: 3.4 s for mt = 2,000,000
+    # and a MemoryError for 10^12 columns, which the CLI does not catch
+    for head in ("mt=2000000,my=1", "mt=1000000000000,my=1", "mt=1,my=1000000000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="fewer than the .* layout needs"):
+            family_from_csv(head + "\n" + "1,1,1\n" * 8)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_reconstruct_validates_arguments():

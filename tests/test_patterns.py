@@ -468,3 +468,15 @@ def test_pattern_spec_parsing_and_errors():
             PatternSpec.explicit(empty)
     with pytest.raises(ValueError):
         density_grid_exact(uniform_grid(3), PatternSpec.parse("2413"))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: PatternSpec.explicit([1.5, 2]), "pattern symbol must be an integer"),
+    (lambda: PatternSpec(values=(True, 2)), "pattern symbol must be an integer"),
+    (lambda: PatternSpec.star_class(3.7, 3), "k must be an integer"),
+    (lambda: PatternSpec(star=(3, 2.5)), "ell must be an integer"),
+])
+def test_pattern_spec_refuses_non_integer_symbols_by_name(call, match):
+    # each was once truncated: to 12, 12, **3 and **2
+    with pytest.raises(ValueError, match=match):
+        call()

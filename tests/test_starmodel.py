@@ -38,6 +38,7 @@ from permutons import (
     star12_grid,
     star12_r_from_rho,
     star12_rho,
+    starmodel,
     uniform_grid,
 )
 
@@ -351,7 +352,9 @@ def test_solver_input_validation():
     # a negative budget once raised ConvergenceError
     ({"max_iter": -1}, "max_iter must be >= 0"),
     ({"max_iter": 2.5}, "max_iter must be an integer"),
-    ({"quad": 16.5}, "quad must be an integer"),
+    # a fractional exponent was once truncated, solving the (1, 0) model
+    ({"exponents": [(1.5, 0)]}, "exponent r must be an integer"),
+    ({"exponents": [(1, 0.5)]}, "exponent s must be an integer"),
 ])
 def test_solver_rejects_bad_settings_by_name(kwargs, match):
     args = {"exponents": [(1, 0)], "targets": [0.3], **kwargs}
@@ -365,9 +368,20 @@ def test_model_rejects_non_finite_coefficients():
             StarModel(((1, 0, bad),))
 
 
-def test_model_refuses_a_fractional_node_count_by_name():
-    with pytest.raises(ValueError, match="quad must be an integer"):
-        StarModel(((1, 0, 0.5),), quad=16.5)
+def test_model_refuses_a_fractional_exponent_by_name():
+    # it was once truncated to the (1, 0, 0.2) model
+    with pytest.raises(ValueError, match="exponent r must be an integer"):
+        StarModel(((1.5, 0, 0.2),))
+    with pytest.raises(ValueError, match="exponent s must be an integer"):
+        StarModel(((1, True, 0.2),))
+
+
+def test_quadrature_has_no_setting():
+    # the node count is derived from the solver's own refinement check
+    with pytest.raises(TypeError):
+        StarModel(((1, 0, 0.5),), quad=96)
+    with pytest.raises(TypeError):
+        solve_star([(1, 0)], [0.3], quad=96)
 
 
 def test_star23_boundary_curves():
@@ -384,7 +398,10 @@ def test_star23_boundary_curves():
         (0.0, 0.0), (1.0, 1.0)}
 
 
-def test_boundary_brackets_solver_feasibility():
+LOW = (np.sqrt(2.0) - 1.0) / 2.0  # the star23 lower curve at rho_*2 = 1/2
+
+
+def test_boundary_brackets_solver_feasibility(monkeypatch):
     # halfway targets between the curves solve; targets below the lower
     # curve diverge
     t = np.linspace(0.0, 1.0, 257)
@@ -395,15 +412,42 @@ def test_boundary_brackets_solver_feasibility():
     assert np.abs(inside.densities - (x, y_low + 0.05)).max() <= 1e-9
     with pytest.raises(ConvergenceError):
         solve_star(STAR23, (x, max(y_low - 0.05, 1e-3)), max_iter=60)
-    # feasible targets just above the lower curve: at +2e-4 the solution
-    # fails the refined residual check, at +5e-5 the two quadrature
-    # resolutions disagree on F; both errors name the quadrature
-    low = (np.sqrt(2.0) - 1.0) / 2.0
-    for d in (2e-4, 5e-5):
-        with pytest.raises(ConvergenceError, match="quadrature") as err:
-            solve_star(STAR23, (0.5, low + d))
-        assert "quad = 96" in str(err.value)
-        assert err.value.residual > 0.0
-        assert np.asarray(err.value.alpha).shape == (2,)
-    sol = solve_star(STAR23, (0.5, low + 1e-3))
-    assert np.abs(sol.densities - (0.5, low + 1e-3)).max() <= 1e-9
+    # feasible targets just above the lower curve need more than the first
+    # 96 nodes: at +2e-4 the solution fails the refined residual check there,
+    # at +5e-5 the two quadrature resolutions disagree on F, and the solver
+    # doubles the nodes until both pass
+    for d in (1e-3, 2e-4, 5e-5):
+        sol = solve_star(STAR23, (0.5, LOW + d))
+        assert np.abs(sol.densities - (0.5, LOW + d)).max() <= 1e-9
+    # capped at 96 nodes, the one quadrature error names the count reached
+    monkeypatch.setattr(starmodel, "_MAX_QUAD", 96)
+    with pytest.raises(ConvergenceError, match="quadrature") as err:
+        solve_star(STAR23, (0.5, LOW + 2e-4))
+    assert "quad = 96" in str(err.value)
+    assert err.value.residual > 0.0
+    assert np.asarray(err.value.alpha).shape == (2,)
+
+
+def test_large_coefficients_evaluate_on_refined_nodes(monkeypatch):
+    # the +5e-5 solution's alpha: 96 nodes disagree with 192 on F there
+    model = star23_model((2.3e4, -7.7e4))
+    ev = evaluate_star(model)
+    assert np.all((ev.densities > 0.0) & (ev.densities < 1.0))
+    assert np.linalg.eigvalsh(ev.hessian).min() > 0.0
+    monkeypatch.setattr(starmodel, "_MAX_QUAD", 96)
+    with pytest.raises(ConvergenceError, match="quad = 96"):
+        evaluate_star(model)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(math.log10(2.5e-5), -2.0))
+def test_solver_near_the_lower_curve_hits_its_target_or_raises(log_d):
+    # never an off-target solution: within 1e-9 of the target, or an error;
+    # d = 10^log_d from 2.5e-5 to 1e-2 above the curve, evenly in log
+    d = 10.0 ** log_d
+    try:
+        sol = solve_star(STAR23, (0.5, LOW + d))
+    except ConvergenceError as err:
+        assert err.residual > 0.0
+    else:
+        assert np.abs(sol.densities - (0.5, LOW + d)).max() <= 1e-9
