@@ -2,7 +2,8 @@
 
 ``golden.json`` (next to this file) holds one entry per named result of
 ``catalogue()``: the float64 values of a number or array, flattened, as
-``float.hex`` strings, or the exact text of a CLI run's stdout.  The test
+``float.hex`` strings, or the exact text of a CLI run's stdout or of a
+file it writes.  The test
 recomputes every entry and compares exactly.  A failure lists every entry
 that moved, with its largest relative change and its largest change in
 units in the last place (ulp), so a refactor that claims "every bit
@@ -211,6 +212,27 @@ def catalogue():
         }
         for key, argv in runs.items():
             yield f"cli/{key}", _cli(argv)
+
+        # the exact bytes of every file the CLI writes with --out and --pgm:
+        # grids with their sidecars and heatmaps, the insertion family, and
+        # the region, sweep and sample tables
+        out = Path(tmp) / "files"
+        out.mkdir()
+        file_runs = {
+            "star12-m8": ["star12", "--r", "-2", "--grid", "8", "--pgm", out / "star12-m8.pgm"],
+            "star12-m1": ["star12", "--r", "1.5", "--grid", "1", "--pgm", out / "star12-m1.pgm"],
+            "heatflow": ["heatflow", "--in", g, "--t", "0.05"],
+            "insertion-extract": ["insertion", "--in", g],
+            "insertion-reconstruct": ["insertion", "--in", fam, "--grid", "8"],
+            "region-123-321": ["region", "--model", "123-321", "--samples", "7"],
+            "region-star23": ["region", "--model", "star23", "--samples", "7"],
+            "sweep-ab": ["sweep-ab", "--na", "3", "--nb", "3", "--trials", "500", "--seed", "3"],
+            "sample": ["sample", "--in", g, "--n", "30", "--seed", "4"],
+        }
+        for key, argv in file_runs.items():
+            assert _cli(argv + ["--out", out / f"{key}.out"]).startswith("exit 0\n"), key
+            for path in sorted(out.glob(f"{key}.*")):
+                yield f"cli-file/{path.name}", path.read_bytes().decode("utf-8")
 
 
 def _encode(value):
