@@ -45,6 +45,7 @@ sits higher.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -126,13 +127,12 @@ def _grid_sidecar(g) -> dict:
 def _write_pgm(path: str, g) -> None:
     import numpy as np
 
-    w = g.w
-    mx = float(w.max())
-    img = np.zeros_like(w) if mx <= 0 else np.rint(w * (255.0 / mx))
+    from .core import _text_rows
+
+    mx = float(g.w.max())
+    img = np.zeros_like(g.w) if mx <= 0 else np.rint(g.w * (255.0 / mx))
     img = img.T[::-1].astype(int)  # image row k = y-cell m-1-k
-    lines = ["P2", f"{g.m} {g.m}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in img]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, f"P2\n{g.m} {g.m}\n255\n" + _text_rows(" ".join(["%d"] * g.m) + "\n", img))
 
 
 def _emit_grid(args, g) -> None:
@@ -333,16 +333,10 @@ def _cmd_insertion(args, scalars) -> int:
     raise ValueError("input header must be 'm=<int>' (grid) or 'mt=<int>,my=<int>' (family)")
 
 
-def _curves_csv(curves) -> str:
-    lines = ["label,t,x,y"]
-    for curve in curves:
-        for tv, (xv, yv) in zip(curve.t, curve.points):
-            lines.append(f"{curve.label},{_f(tv)},{_f(xv)},{_f(yv)}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_region(args, scalars) -> int:
     import numpy as np
+
+    from .core import _text_rows
 
     t = np.linspace(0.0, 1.0, args.samples)
     if args.model == "123-321":
@@ -355,23 +349,24 @@ def _cmd_region(args, scalars) -> int:
         curves = list(region_star23_boundary(t))
     scalars.update({"model": args.model, "samples": args.samples,
                     "curves": [c.label for c in curves]})
-    _deliver(args, _curves_csv(curves))
+    _deliver(args, "label,t,x,y\n" + "".join(
+        _text_rows(c.label + ",%.17g,%.17g,%.17g\n", np.column_stack([c.t, c.points]))
+        for c in curves))
     return 0
 
 
 def _cmd_sweep_ab(args, scalars) -> int:
     import numpy as np
 
+    from .core import _text_rows
     from .regions import gamma_ab_sweep
 
     a = np.linspace(0.0, 1.0, args.na)
     frac = np.linspace(0.0, 1.0, args.nb)
     rows = gamma_ab_sweep(a, frac, args.trials, args.seed)
-    lines = ["a,b,rho12,rho123"]
-    lines += [",".join(_f(v) for v in row) for row in rows]
     scalars.update({"na": args.na, "nb": args.nb, "trials": args.trials,
                     "points": int(rows.shape[0])})
-    _deliver(args, "\n".join(lines) + "\n")
+    _deliver(args, "a,b,rho12,rho123\n" + _text_rows("%.17g,%.17g,%.17g,%.17g\n", rows))
     return 0
 
 
@@ -381,7 +376,7 @@ def _cmd_sample(args, scalars) -> int:
     g = _read_grid(args.inp)
     pi = sample_permutation(g, args.n, args.seed)
     scalars.update({"n": args.n})
-    _deliver(args, " ".join(str(v) for v in pi.values))
+    _deliver(args, " ".join(map(str, pi.values.tolist())))
     return 0
 
 
@@ -428,6 +423,7 @@ def _cmd_dimple(args, scalars) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -437,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="primary output path")
     common.add_argument("--manifest", default=None,
                         help="write a JSON run manifest to this path")
+    grid_in = argparse.ArgumentParser(add_help=False)
+    grid_in.add_argument("--in", dest="inp", required=True, help="grid CSV path")
 
     p = argparse.ArgumentParser(
         prog="permutons",
@@ -483,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pgm", default=None, help="PGM heatmap path")
     sp.set_defaults(handler=_cmd_optimize)
 
-    sp = sub.add_parser("density", parents=[common],
+    sp = sub.add_parser("density", parents=[common, grid_in],
                         help="pattern density of a grid")
-    sp.add_argument("--in", dest="inp", required=True, help="grid CSV path")
     sp.add_argument("--tau", required=True,
                     help="pattern: '12', '132', ... or star class '*2', '**3'")
     sp.add_argument("--mc", action="store_true",
@@ -496,15 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="points per trial (default: pattern length)")
     sp.set_defaults(handler=_cmd_density)
 
-    sp = sub.add_parser("entropy", parents=[common], help="entropy of a grid")
-    sp.add_argument("--in", dest="inp", required=True, help="grid CSV path")
+    sp = sub.add_parser("entropy", parents=[common, grid_in], help="entropy of a grid")
     sp.add_argument("--levels", default=None,
                     help="comma-separated divisor resolutions to report")
     sp.set_defaults(handler=_cmd_entropy)
 
-    sp = sub.add_parser("heatflow", parents=[common],
+    sp = sub.add_parser("heatflow", parents=[common, grid_in],
                         help="cosine-mode smoothing of a grid")
-    sp.add_argument("--in", dest="inp", required=True, help="grid CSV path")
     sp.add_argument("--t", type=float, required=True, help="diffusion time")
     sp.add_argument("--jmax", type=int, default=None, help="x-mode cutoff")
     sp.add_argument("--kmax", type=int, default=None, help="y-mode cutoff")
@@ -538,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Monte-Carlo triples per point")
     sp.set_defaults(handler=_cmd_sweep_ab)
 
-    sp = sub.add_parser("sample", parents=[common],
+    sp = sub.add_parser("sample", parents=[common, grid_in],
                         help="sample a permutation from a grid")
-    sp.add_argument("--in", dest="inp", required=True, help="grid CSV path")
     sp.add_argument("--n", type=int, required=True, help="permutation length")
     sp.set_defaults(handler=_cmd_sample)
 
@@ -553,9 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.set_defaults(handler=_cmd_ldp)
 
-    sp = sub.add_parser("pde-check", parents=[common],
+    sp = sub.add_parser("pde-check", parents=[common, grid_in],
                         help="Euler-Lagrange residual of a grid")
-    sp.add_argument("--in", dest="inp", required=True, help="grid CSV path")
     sp.add_argument("--model", choices=("12", "123"), required=True)
     sp.set_defaults(handler=_cmd_pde_check)
 

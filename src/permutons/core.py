@@ -565,16 +565,18 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
         rows = w.sum(axis=1)
 
 
+def _text_rows(template: str, values) -> str:
+    """``template % row`` for each row of the 2-D ``values``, in one C-speed % pass."""
+    return (template * len(values)) % tuple(np.ravel(values).tolist())
+
+
 def grid_to_csv(g: GridPermuton) -> str:
     """Serialize as CSV: header ``m=<int>``, then m rows of m masses.
 
     Row i (1-based) is x-cell i; column j is y-cell j.  Masses are written
     with 17 significant digits so parsing reproduces the float64 exactly.
     """
-    lines = [f"m={g.m}"]
-    for row in g.w:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return f"m={g.m}\n" + _text_rows(",".join(["%.17g"] * g.m) + "\n", g.w)
 
 
 def grid_from_csv(text: str) -> GridPermuton:
@@ -587,10 +589,17 @@ def grid_from_csv(text: str) -> GridPermuton:
         raise ValueError(f"grid CSV header gives m={m}; m must be >= 1")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} data rows, found {len(lines) - 1}")
-    w = np.empty((m, m))
-    for i, ln in enumerate(lines[1:]):
-        row = ln.split(",")
-        if len(row) != m:
-            raise ValueError(f"data row {i + 1} has {len(row)} entries, expected m={m}")
-        w[i] = [float(v) for v in row]
+    try:
+        # one C pass that rounds like float(); comments=None keeps '#' an error
+        w = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        w = np.empty(0)
+    if w.shape != (m, m):
+        # row by row to name the bad row; float() also reads '1_0', which loadtxt refuses
+        w = np.empty((m, m))
+        for i, ln in enumerate(lines[1:]):
+            row = ln.split(",")
+            if len(row) != m:
+                raise ValueError(f"data row {i + 1} has {len(row)} entries, expected m={m}")
+            w[i] = [float(v) for v in row]
     return GridPermuton(w)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, _as_count, _frozen, _reduce, cdf, rebalance_marginals
+from .core import GridPermuton, _as_count, _frozen, _reduce, _text_rows, cdf, rebalance_marginals
 from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
@@ -277,11 +277,9 @@ def family_to_csv(fam: InsertionFamily) -> str:
 
     Indices are 1-based; values carry 17 significant digits.
     """
-    lines = [f"mt={fam.mt},my={fam.my}"]
-    for c, col in enumerate(fam.cols):
-        for k, v in enumerate(col):
-            lines.append(f"{c + 1},{k + 1},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    return f"mt={fam.mt},my={fam.my}\n" + "".join(
+        _text_rows(f"{c},%d,%.17g\n", np.column_stack([np.arange(1, col.size + 1), col]))
+        for c, col in enumerate(fam.cols, 1))
 
 
 def family_from_csv(text: str) -> InsertionFamily:
