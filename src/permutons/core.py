@@ -601,5 +601,8 @@ def grid_from_csv(text: str) -> GridPermuton:
             row = ln.split(",")
             if len(row) != m:
                 raise ValueError(f"data row {i + 1} has {len(row)} entries, expected m={m}")
-            w[i] = [float(v) for v in row]
+            try:
+                w[i] = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"data row {i + 1}: {exc}") from None
     return GridPermuton(w)

@@ -74,6 +74,8 @@ class InsertionFamily:
     __reduce__ = _reduce
 
     def __post_init__(self):
+        for name in ("mt", "my"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         if self.mt < 1 or self.my < 1:
             raise ValueError("resolutions must be >= 1")
         if len(self.cols) != self.mt:

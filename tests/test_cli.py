@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from permutons import starmodel
-from permutons.cli import _THREAD_VARS, main
+from permutons.cli import _THREAD_VARS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -154,6 +154,43 @@ def test_threads_pins_the_blas_variables(monkeypatch, capsys):
 
 def test_missing_input_file_exits_2(tmp_path):
     assert main(["entropy", "--in", str(tmp_path / "absent.csv")]) == 2
+
+
+def test_malformed_grid_entry_exits_2_naming_the_row(tmp_path, capsys):
+    # '#' starts no comment in a grid CSV: the entry is refused, by row
+    bad = tmp_path / "bad.csv"
+    bad.write_text("m=2\n0.5,0\n0,0.5 # x\n")
+    man = tmp_path / "m.json"
+    assert main(["entropy", "--in", str(bad), "--manifest", str(man)]) == 2
+    assert capsys.readouterr().err == (
+        "error: data row 2: could not convert string to float: '0.5 # x'\n")
+    assert not man.exists()
+
+
+def test_parser_is_built_once_and_calls_share_nothing(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    g, pgm, man = tmp_path / "g.csv", tmp_path / "g.pgm", tmp_path / "m.json"
+    star = ["star12", "--rho", "0.4", "--grid", "8", "--out", str(g)]
+    # a --pgm run, then one without: the second writes no heatmap
+    assert main(star + ["--pgm", str(pgm)]) == 0 and pgm.exists()
+    pgm.unlink()
+    assert main(star) == 0 and not pgm.exists()
+    # --seed 5, then the default seed: the second run is the default run
+    sample = ["sample", "--in", str(g), "--n", "40"]
+    capsys.readouterr()
+    assert main(sample) == 0
+    default = capsys.readouterr().out
+    assert main(sample + ["--seed", "5", "--manifest", str(man)]) == 0
+    assert capsys.readouterr().out != default and json.loads(load(man))["seed"] == 5
+    assert main(sample + ["--manifest", str(man)]) == 0
+    assert capsys.readouterr().out == default and json.loads(load(man))["seed"] == 0
+    # an argument error (exit 2), then a good run
+    assert main(["star12", "--grid", "oops"]) == 2
+    assert "invalid int value: 'oops'" in capsys.readouterr().err
+    assert main(sample) == 0 and capsys.readouterr().out == default
+    # --help still exits 0, before and after the runs above
+    assert main(["--help"]) == 0 and main(["sample", "--help"]) == 0
+    assert "--in INP" in capsys.readouterr().out
 
 
 def test_solver_divergence_exits_3_with_diagnostics(tmp_path, monkeypatch):

@@ -39,6 +39,7 @@ from permutons import (
     sample_points,
     uniform_grid,
 )
+from permutons import core
 from permutons.insertion import InsertionFamily, flat_family
 from permutons.regions import RegionCurve, region_123_321
 from permutons.starmodel import _gl01, star12_grid
@@ -609,12 +610,92 @@ def test_grid_csv_round_trip(m, seed):
         grid_from_csv("m=3\n1,2\n")
 
 
+def grid_csv_reference(g):
+    """The grid CSV as one format() call per value writes it."""
+    lines = [f"m={g.m}"]
+    for row in g.w:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]),
+       st.lists(st.one_of(SUBNORMAL, st.just(0.0), st.just(-0.0)), max_size=12))
+def test_grid_csv_writes_the_per_value_format(m, seed, t, small):
+    # a permutation grid mixed with a positive one: t = 0 leaves m^2 - m
+    # zero cells, some of which become subnormal masses or -0.0
+    rng = np.random.default_rng(seed)
+    perm = grid_from_permutation(Permutation(rng.permutation(m) + 1), m).w
+    w = (1.0 - t) * perm + t * random_grid(m, rng).w
+    zeros = np.flatnonzero(w == 0)[:len(small)]
+    w.flat[zeros] = small[:zeros.size]
+    g = GridPermuton(w)
+    text = grid_to_csv(g)
+    assert text == grid_csv_reference(g)
+    assert grid_from_csv(text).w.tobytes() == g.w.tobytes()
+
+
+@st.composite
+def csv_entries(draw):
+    """m and the m^2 entries of a grid CSV: any finite float64 (subnormals
+    and -0.0 included), written at 17 digits or by repr, with spaces around."""
+    m = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | SUBNORMAL,
+                           min_size=m * m, max_size=m * m))
+    tokens = []
+    for v in values:
+        text = draw(st.sampled_from(["%.17g" % v, repr(v)]))
+        tokens.append(draw(st.sampled_from(["", " ", "\t", "  "])) + text
+                      + draw(st.sampled_from(["", " ", "\t "])))
+    return m, tokens
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(csv_entries())
+def test_grid_csv_parses_every_entry_as_float_does(entries):
+    # the parse before the grid checks, which would refuse most such grids
+    m, tokens = entries
+    text = f"m={m}\n" + "".join(",".join(tokens[i:i + m]) + "\n" for i in range(0, m * m, m))
+    want = np.array([float(tok) for tok in tokens]).reshape(m, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "GridPermuton", lambda w: w)
+        got = grid_from_csv(text)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("text, match", [
     ("m=2\n0.5,0\n0,0.5,0\n", "data row 2 has 3 entries, expected m=2"),
     ("m=2\n0.5\n0,0.5\n", "data row 1 has 1 entries, expected m=2"),
     ("m=0\n", "m=0; m must be >= 1"),
     ("m=-1\n", "m=-1; m must be >= 1"),
+    # '#' starts no comment: it is a non-number like any other
+    ("m=2\n0.5,0\n0,0.5 # x\n", r"data row 2: could not convert string to float: '0.5 # x'"),
+    ("m=2\n# 0.5,0\n0,0.5\n", r"data row 1: could not convert string to float: '# 0.5'"),
+    # an empty field is an error, not a zero or a skipped value
+    ("m=2\n0.5,\n0,0.5\n", r"data row 1: could not convert string to float: ''"),
+    ("m=2\n0.5,0\n,0.5\n", r"data row 2: could not convert string to float: ''"),
+    ("m=3\n0.3,0,0\n0,0.3,0\n0,0,abc\n", r"data row 3: .*'abc'"),
+    ("m=1\n0x1p0\n", r"data row 1: .*'0x1p0'"),
+    # the rows are read in order: a ragged row after a bad entry is not reached
+    ("m=2\n0.5,x\n0,0.5,0\n", r"data row 1: .*'x'"),
 ])
 def test_grid_csv_malformed_names_the_problem(text, match):
     with pytest.raises(ValueError, match=match):
         grid_from_csv(text)
+
+
+def test_grid_csv_reads_what_float_reads():
+    # spaces around an entry and exponent forms parse as float() parses
+    # them, and so do underscores and non-ASCII digits, which the one-pass
+    # reader refuses and the row-by-row reader behind it accepts
+    g = grid_from_csv("m=2\n 0.5 ,\t0\n0. , 5E-1\n")
+    assert np.array_equal(g.w, [[0.5, 0.0], [0.0, 0.5]])
+    for entry in ("1.0_0", "\u0661", " 1_0e-1 "):
+        assert grid_from_csv(f"m=1\n{entry}\n").w.tolist() == [[1.0]]
+    # non-finite and negative masses parse, and the grid refuses them
+    for bad in ("m=2\nInf,0\n0,0.5\n", "m=2\nnan,0\n0,0.5\n", "m=2\n-0.5,1\n1,-0.5\n"):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            grid_from_csv(bad)

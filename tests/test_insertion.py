@@ -296,3 +296,18 @@ def test_reconstruct_validates_arguments():
 def test_reconstruct_refuses_a_fractional_resolution_by_name():
     with pytest.raises(ValueError, match="m_out must be an integer"):
         reconstruct(flat_family(8, 8), 8.5)
+
+
+def test_family_refuses_fractional_resolutions_by_name():
+    with pytest.raises(ValueError, match="my must be an integer, got 2.5"):
+        flat_family(8, 2.5)
+    with pytest.raises(ValueError, match="mt must be an integer, got 8.0"):
+        star12_family(1.0, 8.0, 8)
+    with pytest.raises(ValueError, match="my must be an integer, got True"):
+        InsertionFamily(8, True, flat_family(8, 8).cols)
+    # numpy integers are counts; they are stored as Python ints, so the CSV
+    # header round-trips
+    fam = star12_family(1.0, np.int64(8), np.int32(8))
+    assert type(fam.mt) is int and type(fam.my) is int
+    text = family_to_csv(fam)
+    assert text.startswith("mt=8,my=8\n") and family_to_csv(family_from_csv(text)) == text
