@@ -565,9 +565,10 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
         rows = w.sum(axis=1)
 
 
-def _text_rows(template: str, values) -> str:
-    """``template % row`` for each row of the 2-D ``values``, in one C-speed % pass."""
-    return (template * len(values)) % tuple(np.ravel(values).tolist())
+def _text_rows(template: str, values: np.ndarray) -> str:
+    """``template % row`` for each row of the 2-D ``values``, joined.  One row
+    goes through ``tolist()`` at a time, so few float objects live at once."""
+    return "".join([template % tuple(row.tolist()) for row in values])
 
 
 def grid_to_csv(g: GridPermuton) -> str:
