@@ -566,8 +566,7 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
 
 
 def _text_rows(template: str, values: np.ndarray) -> str:
-    """``template % row`` for each row of the 2-D ``values``, joined.  One row
-    goes through ``tolist()`` at a time, so few float objects live at once."""
+    """``template % row`` per row of ``values``, one row's tolist() at a time (low peak RSS)."""
     return "".join([template % tuple(row.tolist()) for row in values])
 
 
