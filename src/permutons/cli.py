@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol-grad", type=float, default=1e-6,
                     help="projected-gradient tolerance")
     sp.add_argument("--max-iter", type=int, default=10_000,
-                    help="CG iteration cap per linear solve of a Newton step")
+                    help="CG iteration cap of the one projected solve of each Newton step")
     sp.add_argument("--max-outer", type=int, default=50,
                     help="Newton step cap")
     sp.add_argument("--restarts", type=int, default=0,

@@ -325,6 +325,17 @@ def _as_count(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _header_count(kind: str, header: str, key: str, value: str) -> int:
+    """The count ``key=value`` of a ``kind`` CSV header line as an int;
+    ValueError naming the field and the header for anything int() does not
+    read."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{kind} CSV header {header!r}: {key} must be an integer, "
+                         f"got {value!r}") from None
+
+
 def _guide(weights: np.ndarray):
     """The table ``_lookup`` draws from: (cdf, lo, B) for the categories of
     ``weights``.
@@ -584,7 +595,7 @@ def grid_from_csv(text: str) -> GridPermuton:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("m="):
         raise ValueError("grid CSV must start with a 'm=<int>' header line")
-    m = int(lines[0][2:])
+    m = _header_count("grid", lines[0], "m", lines[0][2:])
     if m < 1:
         raise ValueError(f"grid CSV header gives m={m}; m must be >= 1")
     if len(lines) != m + 1:

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPermuton, _as_count, _frozen, _reduce, _text_rows, cdf, rebalance_marginals
+from .core import (GridPermuton, _as_count, _frozen, _header_count, _reduce, _text_rows, cdf,
+                   rebalance_marginals)
 from .starmodel import _FLAT_RATE
 
 COLUMN_NORM_TOL = 1e-8
@@ -293,7 +294,7 @@ def family_from_csv(text: str) -> InsertionFamily:
     for key in ("mt", "my"):
         if key not in head:
             raise ValueError(f"family CSV header {lines[0]!r} has no '{key}=<int>' entry")
-    mt, my = int(head["mt"]), int(head["my"])
+    mt, my = (_header_count("family", lines[0], key, head[key]) for key in ("mt", "my"))
     rows = [ln.split(",") for ln in lines[1:]]
     for i, fields in enumerate(rows):
         if len(fields) != 3:

@@ -15,15 +15,29 @@ removed) is the Euclidean projection P_T.  With
 
     K = diag(1/w) + sum_i lambda_i Hess(rho_i)      (minus Hess L, on T)
 
-a step runs k + 1 preconditioned conjugate-gradient (PCG) solves,
-u_0 = K^-1 P_T grad H and u_i = K^-1 J_i with J_i = P_T grad rho_i, solves
-the k x k Schur system S lambda' = J u_0 + c with S_ij = J_i . u_j for the
-new multipliers, and moves along dw = u_0 - sum_i lambda'_i u_i, which
-satisfies J dw = -c.  Constraint combinations whose tangent gradients are dependent
-(rho_12 and rho_*2 are one density; rho_123 + rho_213 = rho_**3) are left
-out of the Schur system, which gives the minimum-norm multipliers.  When
-their targets violate the dependency at two successive iterates the run
-stops as inconsistent.
+a step solves the KKT system
+
+    K dw + A^T mu = g,    A dw = -c_b,
+
+for the direction dw in T and the new multipliers lambda' = B mu, where B
+(k x r, r <= k) is an orthonormal basis of the constraint combinations,
+A = B^T P_T grad rho, g = P_T grad H and c_b = B^T c.  Combinations whose
+tangent gradients are dependent (rho_12 and rho_*2 are one density;
+rho_123 + rho_213 = rho_**3) are left out of B, which gives the
+minimum-norm multipliers.  When their targets violate the dependency at
+two successive iterates the run stops as inconsistent.
+
+One projected preconditioned conjugate-gradient (PCG) solve gives both dw
+and mu (Gould, Hribar and Nocedal, SIAM J. Sci. Comput. 23 (2001)).  With
+the preconditioner M (below), Q_i = M^-1 a_i for the rows a_i of A and the
+r x r matrix G = A Q, it starts from the particular solution x = -Q G^-1 c_b of
+A x = -c_b and runs CG on the null space of A: each iteration makes one
+product with K and one with M^-1, and projects the preconditioned residual
+with y = G^-1 A M^-1 r.  The projection also takes A^T y out of the
+residual r = g - K x - A^T mu and adds y to mu, so r itself goes to zero
+and mu comes out of the same iterations.  The solve stops once r . M^-1 r
+falls below _CG_RTOL^2 (g . M^-1 g + (K x) . M^-1 (K x)) for the starting
+x, a scale that stays positive where g = 0, as at the uniform start.
 
 Hessian-vector products are exact and direct.  Every density is a sum of
 quadrant terms whose fields are affine in w through one linear prefix map
@@ -32,10 +46,10 @@ L, so the Hessian of sum_i lambda_i rho_i is a fixed linear operator at w:
 once per Newton step, and each product then costs one pass of L, a 4 x 4
 mix and one pass of its adjoint, however many patterns there are.  It
 never calls the density kernel.  The preconditioner is the entropy
-diagonal diag(1/w) restricted to T; its inverse costs one m x m solve per
-step.  If PCG meets negative curvature, K is indefinite there and
-every solve of the step is truncated to its first Steihaug iterate, the
-preconditioned right-hand side: the step of the entropy metric alone.
+diagonal M = diag(1/w) restricted to T; its inverse costs one m x m solve
+per step.  If PCG meets negative curvature, K is indefinite on the null
+space of A, and the step is that of the entropy metric alone: the solution
+dw = M^-1 g - Q G^-1 (A M^-1 g + c_b) of the KKT system with K replaced by M.
 
 The step is multiplicative, w * exp(a dw / w) with |a dw / w| <= 2, then
 projected back onto the polytope by ``rebalance_marginals``, so w stays
@@ -43,8 +57,8 @@ strictly positive.  It is accepted on the l1 merit H - nu |c|_1 with
 nu = 2 max |lambda'|, never decreased; the step length a is halved until
 the merit falls by no more than rounding (1e-15).  A run converges when
 max |c| < ``tol_constraint`` and max |P_T grad L| < ``tol_grad``.
-``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of one
-solve, which never exceed the dimension (m - 1)^2 of T.  Values and
+``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of a
+step's solve, which never exceed the dimension (m - 1)^2 of T.  Values and
 gradients at the start and at each trial point come from
 ``density_grid_exact_with_grad``, one call per pattern; these are the
 only density-kernel evaluations of a run.
@@ -174,11 +188,11 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
     """Newton-KKT entropy maximization (module doc).
 
     ``max_outer`` caps Newton steps and ``max_inner`` the CG iterations of
-    each linear solve; both must be at least 1, and the tolerances positive
-    and finite (ValueError otherwise).  Deterministic from the uniform
-    initialization; ``restarts`` adds that many seeded perturbed starts and
-    returns the best feasible result (the maximizer is proven unique only
-    for star constraints).
+    the one projected solve each step makes; both must be at least 1, and
+    the tolerances positive and finite (ValueError otherwise).
+    Deterministic from the uniform initialization; ``restarts`` adds that
+    many seeded perturbed starts and returns the best feasible result (the
+    maximizer is proven unique only for star constraints).
     """
     if _as_count(m, "m") < 8:
         raise ValueError("resolution m must be >= 8")
@@ -231,7 +245,8 @@ class _Iterate:
 
 class _NewtonSystem:
     """The Lagrangian Hessian K = diag(1/w) + sum lam_i Hess(rho_i) on the
-    tangent space at w, its entropy-diagonal preconditioner, and PCG."""
+    tangent space at w, its entropy-diagonal preconditioner, and the
+    projected PCG solve of a Newton step."""
 
     def __init__(self, w: np.ndarray, taus: tuple, lam: np.ndarray, max_iter: int):
         m = w.shape[0]
@@ -266,52 +281,59 @@ class _NewtonSystem:
 
     def newton_step(self, cur: _Iterate, basis: np.ndarray):
         """The Newton direction dw and multipliers lam for the constraint
-        combinations in ``basis``: k + 1 PCG solves and a Schur system."""
-        pj = np.tensordot(basis.T, _tangent(cur.grads), axes=1)
-        rhs = [_tangent(cur.gH), *pj]
-        sols = []
-        for b in rhs:
-            x = self.solve(b)
-            if x is None:
-                # K is indefinite here: every solve stops at its first
-                # Steihaug iterate, which is the step of the entropy metric
-                self.truncated = True
-                sols = [self.precondition(b) for b in rhs]
-                break
-            sols.append(x)
-        u0, us = sols[0], np.array(sols[1:]).reshape(pj.shape)
-        schur = np.tensordot(pj, us, axes=([1, 2], [1, 2]))
-        # lstsq: a Schur matrix that rounding leaves singular yields the
-        # minimum-norm multipliers instead of an exception
-        mu = np.linalg.lstsq(0.5 * (schur + schur.T),
-                             np.tensordot(pj, u0, axes=2) + basis.T @ cur.c,
-                             rcond=None)[0]
-        return u0 - np.tensordot(mu, us, axes=1), basis @ mu
+        combinations in ``basis``: one projected PCG solve of the KKT system
+        K dw + A^T mu = g, A dw = -c_b (module doc)."""
+        a = list(np.tensordot(basis.T, _tangent(cur.grads), axes=1))
+        g = _tangent(cur.gH)
+        cb = basis.T @ cur.c
+        # Q_i = M^-1 a_i and G = A Q; pinv: a G that rounding leaves
+        # singular yields the minimum-norm multipliers instead of an exception
+        q = [self.precondition(ai) for ai in a]
+        rank = len(a)
+        gram = np.array([[float(np.vdot(ai, qj)) for qj in q] for ai in a]).reshape(rank, rank)
+        gram_inv = np.linalg.pinv(0.5 * (gram + gram.T)).tolist()
 
-    def solve(self, b: np.ndarray):
-        """PCG for K x = b on the tangent space; None if it meets negative
-        curvature."""
-        x = np.zeros_like(b)
-        r = b
-        z = self.precondition(r)
-        p, rz = z, float(np.vdot(r, z))
-        stop = _CG_RTOL ** 2 * rz
-        for _ in range(self.max_iter):
-            if rz <= stop:
+        def solve_gram(t):
+            return [sum(gi * ti for gi, ti in zip(row, t)) for row in gram_inv]
+
+        def combine(v, coeffs, vecs):
+            for ci, u in zip(coeffs, vecs):
+                v = v - ci * u
+            return v
+
+        mg = self.precondition(g)
+        x = combine(np.zeros_like(g), solve_gram(cb), q)
+        kx = self.apply(x)
+        mkx = self.precondition(kx)
+        stop = _CG_RTOL ** 2 * (float(np.vdot(g, mg)) + float(np.vdot(kx, mkx)))
+        # r = g - K x - A^T mu throughout; each projection moves the part of
+        # r that M^-1 r sends out of null(A) into the multipliers mu
+        r, mr = g - kx, mg - mkx
+        mu = [0.0] * rank
+        for it in range(self.max_iter + 1):
+            y = solve_gram([float(np.vdot(ai, mr)) for ai in a])
+            mu = [mi + yi for mi, yi in zip(mu, y)]
+            r, z = combine(r, y, a), combine(mr, y, q)
+            rz_new = float(np.vdot(r, z))
+            if rz_new <= stop or it == self.max_iter:
                 break
+            p = z if it == 0 else z + (rz_new / rz) * p
+            rz = rz_new
             kp = self.apply(p)
             self.cg_iterations += 1
             pkp = float(np.vdot(p, kp))
             if pkp <= 0.0:
-                return None
+                # negative curvature, on null(A): take the step of the
+                # entropy metric M, which solves M dw + A^T mu = g and
+                # A dw = -c_b
+                self.truncated = True
+                mu = solve_gram([float(np.vdot(ai, mg)) + ci for ai, ci in zip(a, cb)])
+                return combine(mg, mu, q), basis @ mu
             alpha = rz / pkp
             x = x + alpha * p
             r = r - alpha * kp
-            z = self.precondition(r)
-            rz_new = float(np.vdot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        return x
+            mr = self.precondition(r)
+        return x, basis @ mu
 
 
 def _maximize_from(cons: ConstraintSet, w: np.ndarray,

@@ -167,6 +167,21 @@ def test_malformed_grid_entry_exits_2_naming_the_row(tmp_path, capsys):
     assert not man.exists()
 
 
+def test_fractional_header_count_exits_2_naming_the_field(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("m=2.5\n0.5,0\n0,0.5\n")
+    fam = tmp_path / "fam.csv"
+    fam.write_text("mt=8,my=2.5\n" + "1,1,1\n" * 8)
+    man = tmp_path / "m.json"
+    assert main(["entropy", "--in", str(grid), "--manifest", str(man)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid CSV header 'm=2.5': m must be an integer, got '2.5'\n")
+    assert main(["insertion", "--in", str(fam), "--grid", "8", "--manifest", str(man)]) == 2
+    assert capsys.readouterr().err == (
+        "error: family CSV header 'mt=8,my=2.5': my must be an integer, got '2.5'\n")
+    assert not man.exists()
+
+
 def test_parser_is_built_once_and_calls_share_nothing(tmp_path, capsys):
     assert build_parser() is build_parser()
     g, pgm, man = tmp_path / "g.csv", tmp_path / "g.pgm", tmp_path / "m.json"

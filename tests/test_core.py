@@ -687,6 +687,14 @@ def test_grid_csv_malformed_names_the_problem(text, match):
         grid_from_csv(text)
 
 
+@pytest.mark.parametrize("head", ["m=2.5", "m=", "m=two", "m=1e2"])
+def test_grid_csv_header_count_names_the_field_and_header(head):
+    value = head[2:]
+    with pytest.raises(ValueError) as exc:
+        grid_from_csv(head + "\n0.5,0\n0,0.5\n")
+    assert str(exc.value) == f"grid CSV header {head!r}: m must be an integer, got {value!r}"
+
+
 def test_grid_csv_reads_what_float_reads():
     # spaces around an entry and exponent forms parse as float() parses
     # them, and so do underscores and non-ASCII digits, which the one-pass

@@ -272,6 +272,17 @@ def test_family_csv_rejects_malformed_input():
         family_from_csv("\n".join([lines[0], "1,1,nan", *lines[2:]]) + "\n")
 
 
+@pytest.mark.parametrize("head,key,value", [
+    ("mt=8,my=2.5", "my", "2.5"), ("mt=2.5,my=8", "mt", "2.5"), ("mt=,my=8", "mt", ""),
+    ("mt=8,my=eight", "my", "eight"),
+])
+def test_family_csv_header_count_names_the_field_and_header(head, key, value):
+    with pytest.raises(ValueError) as exc:
+        family_from_csv(head + "\n" + "1,1,1\n" * 8)
+    assert str(exc.value) == (
+        f"family CSV header {head!r}: {key} must be an integer, got {value!r}")
+
+
 def test_family_csv_refuses_a_short_file_before_allocating():
     # the header's layout once was allocated first: 3.4 s for mt = 2,000,000
     # and a MemoryError for 10^12 columns, which the CLI does not catch

@@ -34,7 +34,7 @@ from permutons import (
     coarsen,
     uniform_grid,
 )
-from permutons.optimizer import _tangent
+from permutons.optimizer import _Iterate, _NewtonSystem, _constraint_basis, _tangent
 from permutons.patterns import _densities, _hessian_operator
 
 
@@ -247,7 +247,7 @@ def test_two_constraint_problem():
     # thousands of first-order iterations, a handful of Newton steps;
     # counted in steps so the bound does not depend on the host
     assert res.converged and res.iterations == 4
-    assert sum(e["cg_iterations"] for e in res.history) == 73
+    assert sum(e["cg_iterations"] for e in res.history) == 15
     assert np.abs(res.residuals).max() <= 1e-6
     # entropy cannot exceed the single-constraint optimum for either target
     assert res.entropy <= star12_entropy(star12_r_from_rho(0.55)) + 1e-9
@@ -285,8 +285,9 @@ def test_history_records_one_newton_step_per_entry():
 
 
 def test_dependent_constraints_with_consistent_targets_converge():
-    # "12" and "*2" are one density under two labels: the Schur system is
-    # singular, and its minimum-norm solution splits the multiplier evenly
+    # "12" and "*2" are one density under two labels: the step keeps only
+    # their sum, whose tangent gradient is not zero, and so splits the
+    # multiplier evenly
     single = maximize_entropy(ConstraintSet.of(("12", 0.4)), 16)
     twice = maximize_entropy(ConstraintSet.of(("12", 0.4), ("*2", 0.4)), 16)
     assert twice.converged
@@ -444,3 +445,102 @@ def test_pde123_negative_control():
 def test_pde_residual_input_validation():
     with pytest.raises(ValueError):
         pde_residual_12(uniform_grid(4))
+
+
+def _tangent_basis(m: int) -> np.ndarray:
+    """An orthonormal basis of the tangent space T, as the m^2 x (m - 1)^2
+    columns of a matrix."""
+    u, _, _ = np.linalg.svd(_tangent(np.eye(m * m).reshape(-1, m, m)).reshape(m * m, -1))
+    return u[:, :(m - 1) ** 2]
+
+
+def _dense_kkt(metric: np.ndarray, a: np.ndarray, g: np.ndarray, cb: np.ndarray):
+    """dw and mu of metric dw + a^T mu = g, a dw = -cb, by one dense solve."""
+    d, r = metric.shape[0], a.shape[0]
+    kkt = np.block([[metric, a.T], [a, np.zeros((r, r))]])
+    sol = np.linalg.solve(kkt, np.concatenate([g, -cb]))
+    return sol[:d], sol[d:]
+
+
+@st.composite
+def _newton_problems(draw):
+    """A grid of side 3 to 6, uniform in about a quarter of the draws, one to
+    three patterns (the dependent pair 12 and *2 among them in about half
+    the draws), targets and multipliers of several scales, zero included."""
+    m = draw(st.integers(3, 6))
+    flat = draw(st.integers(0, 3)) == 0
+    labels = draw(st.lists(st.sampled_from(_SPECS[1:]), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        labels = ["12", "*2"] + [lbl for lbl in labels if lbl not in ("12", "*2")][:1]
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0, 1e3, 1e5]))
+    return m, flat, tuple(labels), seed, scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_newton_problems())
+def test_newton_step_is_the_dense_kkt_solution(problem):
+    # the projected PCG step against a dense solve of the KKT system on T:
+    # K dw + A^T mu = g, A dw = -c_b, or, where the solve meets negative
+    # curvature, the same system with K replaced by the entropy metric diag(1/w)
+    m, flat, labels, seed, scale = problem
+    rng = np.random.default_rng(seed)
+    w = rebalance_marginals(np.exp(0.5 * rng.standard_normal((m, m))))
+    if flat:
+        w = np.full((m, m), 1.0 / (m * m))
+    patterns = tuple(PatternSpec.parse(lbl) for lbl in labels)
+    cur = _Iterate(w, patterns, rng.uniform(0.05, 0.95, len(labels)))
+    basis, _ = _constraint_basis(cur)
+    lam = scale * rng.standard_normal(len(labels))
+    system = _NewtonSystem(w, patterns, lam, 10_000)
+    dw, lam_new = system.newton_step(cur, basis)
+
+    u = _tangent_basis(m)
+    a = (basis.T @ _tangent(cur.grads).reshape(len(labels), -1)) @ u
+    g, cb = u.T @ _tangent(cur.gH).ravel(), basis.T @ cur.c
+    if system.truncated:
+        metric = u.T @ (u / w.reshape(-1, 1))
+    else:
+        metric = u.T @ np.array([system.apply(col.reshape(m, m)).ravel() for col in u.T]).T
+    v, mu = _dense_kkt(metric, a, g, cb)
+    want_dw, want_lam = (u @ v).reshape(m, m), basis @ mu
+    assert np.abs(dw - want_dw).max() <= 1e-8 * np.abs(want_dw).max()
+    assert np.abs(lam_new - want_lam).max() <= 1e-8 * max(np.abs(want_lam).max(), 1e-300)
+    if scale == 0.0:
+        # K is the entropy metric, the preconditioner itself: one iteration
+        # ends the solve, and none is needed where g = 0 (the uniform grid)
+        assert system.cg_iterations == (0 if flat else 1)
+    # the step lies in T and solves the linearized constraints
+    assert np.abs(_tangent(dw) - dw).max() <= 1e-12 * np.abs(dw).max()
+    assert np.abs(a @ (u.T @ dw.ravel()) + cb).max() <= 1e-8 * np.abs(cb).max() + 1e-12
+
+
+@pytest.mark.parametrize("pairs,kwargs", [
+    ((("12", 0.55), ("123", 0.2)), {}),
+    ((("123", 0.7),), {}),
+    ((("123", 0.6),), {"max_inner": 5, "max_outer": 6}),
+], ids=["12+123", "123=0.7", "123=0.6-capped"])
+def test_one_hessian_product_per_cg_iteration_and_one_for_the_start(monkeypatch, pairs, kwargs):
+    # a Newton step with lam != 0 applies the Hessian once to the particular
+    # solution and once per CG iteration of its one projected solve
+    import permutons.optimizer as opt
+
+    real, counts = opt._hessian_operator, []
+
+    def counted(*args):
+        apply, i = real(*args), len(counts)
+        counts.append(0)
+
+        def wrapped(v):
+            counts[i] += 1
+            return apply(v)
+
+        return wrapped
+
+    monkeypatch.setattr(opt, "_hessian_operator", counted)
+    res = maximize_entropy(ConstraintSet.of(*pairs), 16, **kwargs)
+    # the first step starts from lam = 0 and the uniform grid, where g = 0
+    # and K is the entropy metric: the particular solution is the step
+    assert res.history[0]["cg_iterations"] == 0
+    assert counts == [e["cg_iterations"] + 1 for e in res.history[1:]]
+    assert all(e["cg_iterations"] <= kwargs.get("max_inner", 10_000) for e in res.history)
