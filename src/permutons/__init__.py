@@ -18,13 +18,15 @@ This package computes with them:
 
 Attributes are loaded lazily (PEP 562) so that importing the package does
 not import numpy; the CLI relies on this to pin BLAS thread-count env vars
-before numpy initializes.  For start-up time, no module imports a scipy
-subpackage at module level: ``heat_flow`` (``scipy.fft``), the monotone
-cubic branch of ``reconstruct`` (``scipy.interpolate``), ``ldp_estimate``
-and the dilogarithm behind ``star12_rho``/``star12_entropy``
-(``scipy.special``) import theirs on first call.  Together those
-subpackages pull in over 350 scipy modules and about half a second of
-start-up, which every other computation and CLI subcommand now skips.
+before numpy initializes.  For start-up time, the only scipy subpackage
+in use is ``scipy.fft``, which ``heat_flow`` imports on its first call.
+The dilogarithm behind ``star12_rho``/``star12_entropy`` (Cephes
+``spence``), the log-sum-exp of ``ldp_estimate`` and the monotone cubic
+of ``reconstruct`` are Python and numpy ports that reproduce scipy's
+results bit for bit, so ``permutons star12``, ``ldp`` and ``insertion
+--grid`` skip importing ``scipy.special`` or ``scipy.interpolate``: a cold
+``permutons star12 --rho 0.3 --grid 8`` takes 0.24 s where it took 0.55 s
+with ``scipy.special`` (README, Install).
 """
 
 from __future__ import annotations

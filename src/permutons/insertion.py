@@ -251,10 +251,7 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         Xu, iu = np.unique(X[c, :qc.size], return_index=True)
         qu = qc[iu]
         if Xu.size >= 3:
-            from scipy.interpolate import PchipInterpolator
-
-            interp = PchipInterpolator(Xu, qu)
-            colcdf = np.asarray(interp(np.clip(edges, Xu[0], Xu[-1])))
+            colcdf = _pchip(Xu, qu, np.clip(edges, Xu[0], Xu[-1]))
         else:
             colcdf = np.interp(edges, Xu, qu)
         colcdf[edges <= Xu[0]] = 0.0
@@ -273,6 +270,48 @@ def reconstruct(fam: InsertionFamily, m_out: int,
                            abs(w.sum(axis=0) / target - 1.0).max()))
     w = rebalance_marginals(w)
     return ReconstructionResult(GridPermuton(w), correction)
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Monotone cubic (PCHIP) interpolant of (x, y) at x[0] <= at <= x[-1].
+
+    Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980) as scipy's
+    PchipInterpolator computes it, operation for operation, so bit for bit:
+    for strictly increasing x with at least 3 points, interior slopes are the
+    weighted harmonic mean of the neighbouring secants, or 0 where those
+    vanish or change sign; end slopes are one-sided three-point estimates
+    limited to keep the shape; each interval's Hermite cubic is evaluated in
+    power form from its left end, summed from the constant term up."""
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    slope = np.zeros_like(y)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    mixed = ((np.sign(secant[1:]) != np.sign(secant[:-1]))
+             | (secant[1:] == 0) | (secant[:-1] == 0))
+    with np.errstate(all="ignore"):
+        whmean = (w1 / secant[:-1] + w2 / secant[1:]) / (w1 + w2)
+        slope[1:-1] = np.where(mixed, 0.0, 1.0 / whmean)
+    slope[0] = _pchip_end(h[0], h[1], secant[0], secant[1])
+    slope[-1] = _pchip_end(h[-1], h[-2], secant[-1], secant[-2])
+    t = (slope[:-1] + slope[1:] - 2 * secant) / h
+    c0, c1 = t / h, (secant - slope[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, at, "right") - 1, 0, x.size - 2)
+    s = at - x[i]
+    s2 = s * s
+    # PPoly's sum starts at 0.0, which turns a -0.0 constant term into +0.0
+    return (0.0 + y[i] + slope[i] * s) + c1[i] * s2 + c0[i] * (s2 * s)
+
+
+def _pchip_end(h0, h1, m0, m1):
+    # one-sided three-point slope, zeroed against m0's sign, capped at 3 m0
+    # where the secants change sign
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def family_to_csv(fam: InsertionFamily) -> str:

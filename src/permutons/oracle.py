@@ -77,8 +77,6 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 def ldp_estimate(n: int, rho: float, eps: float) -> float:
     """(1/n) log of the n!-normalized count of permutations with 1 2 density
     within eps of rho (module doc)."""
-    from scipy.special import logsumexp
-
     n = _as_count(n, "n")
     if not 2 <= n <= _MAHONIAN_MAX_N:
         raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")
@@ -91,4 +89,15 @@ def ldp_estimate(n: int, rho: float, eps: float) -> float:
     idx = np.abs(np.arange(lc.size) / total - rho) < eps
     if not np.any(idx):
         raise ValueError(f"no pattern counts within {eps} of rho = {rho} at n = {n}")
-    return float((logsumexp(lc[idx]) - math.lgamma(n + 1)) / n)
+    return float((_logsumexp(lc[idx]) - math.lgamma(n + 1)) / n)
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log sum exp(a) of a finite nonempty 1-D array by scipy.special.logsumexp's
+    own steps, so bit for bit: every entry equal to the max M leaves the sum,
+    their count m scales it, and the result is log1p(s/m) + log m + M."""
+    top = a.max(keepdims=True)
+    at_top = a == top
+    m = at_top.sum(dtype=np.float64, keepdims=True)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + top)[0]

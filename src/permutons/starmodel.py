@@ -91,11 +91,45 @@ class ConvergenceError(RuntimeError):
         self.alpha = None if alpha is None else np.asarray(alpha)
 
 
-def _li2(z: float) -> float:
-    """Real dilogarithm Li2(z) for z <= 1."""
-    from scipy.special import spence
+# Cephes spence rational approximation (Moshier, Methods and Programs for
+# Mathematical Functions, 1989), highest degree first as polevl reads them.
+_SPENCE_A = (4.65128586073990045278e-5, 7.31589045238094711071e-3,
+             1.33847639578309018650e-1, 8.79691311754530315341e-1,
+             2.71149851196553469920e0, 4.25697156008121755724e0,
+             3.29771340985225106936e0, 1.00000000000000000126e0)
+_SPENCE_B = (6.90990488912553276999e-4, 2.54043763932544379113e-2,
+             2.82974860602568089943e-1, 1.41172597751831069617e0,
+             3.63800533345137075418e0, 5.03278880143316990390e0,
+             3.54771340985225096217e0, 9.99999999999999998740e-1)
+_PI2_6 = math.pi * math.pi / 6.0
 
-    return float(spence(1.0 - z))
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _li2(z: float) -> float:
+    """Real dilogarithm Li2(z) for 0 <= z <= 1.
+
+    Cephes spence(x) at x = 1 - z, operation for operation, so the result
+    is scipy.special.spence's bit for bit.  On 0 <= x <= 1 only its branch
+    for x < 1/2 (flag 1, the reflection Li2(z) = pi^2/6 - log z log(1 - z)
+    - Li2(1 - z)) can apply; the inversions for x > 1 cannot."""
+    if not 0.0 <= z <= 1.0:
+        raise ValueError(f"dilogarithm argument z = {z!r} outside [0, 1]")
+    x = 1.0 - z
+    if x == 1.0:
+        return 0.0
+    if x == 0.0:
+        return _PI2_6
+    w = -x if x < 0.5 else x - 1.0
+    y = -w * _polevl(w, _SPENCE_A) / _polevl(w, _SPENCE_B)
+    if x < 0.5:
+        y = _PI2_6 - math.log(x) * math.log(1.0 - x) - y
+    return y
 
 
 def _rate_error(r: float) -> ValueError:
@@ -241,7 +275,10 @@ def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
     log (mahonian_log_gf)."""
     L = j + 1
     nb = -(-a.size // L)
-    e = np.pad(a, (0, nb * L - a.size), mode="edge").reshape(nb, L)
+    e = np.empty(nb * L)
+    e[:a.size] = a
+    e[a.size:] = a[-1]
+    e = e.reshape(nb, L)
     lo = e.min(axis=1)
     e -= lo[:, None]
     np.exp(e, out=e)

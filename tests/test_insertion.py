@@ -45,7 +45,7 @@ from permutons import (
     star12_grid,
     uniform_grid,
 )
-from permutons.insertion import column_cells
+from permutons.insertion import _pchip, column_cells
 
 
 def band_average_reference(r, x, ny):
@@ -322,3 +322,33 @@ def test_family_refuses_fractional_resolutions_by_name():
     assert type(fam.mt) is int and type(fam.my) is int
     text = family_to_csv(fam)
     assert text.startswith("mt=8,my=8\n") and family_to_csv(family_from_csv(text)) == text
+
+
+def _pchip_matches_scipy(x, y):
+    at = np.clip(np.concatenate([np.linspace(x[0] - 1.0, x[-1] + 1.0, 101), x,
+                                 (x[1:] + x[:-1]) / 2]), x[0], x[-1])
+    out = _pchip(x, y, at)
+    assert out.tobytes() == np.asarray(PchipInterpolator(x, y)(at)).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(1e-6, 10.0),
+                          st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
+                min_size=2, max_size=30),
+       st.floats(-100.0, 100.0))
+def test_pchip_is_scipys_bit_for_bit(steps, x0):
+    # positive gaps give strictly increasing x; zero rises give flat runs,
+    # mixed signs give secants that change sign
+    gaps, rises = zip(*steps)
+    _pchip_matches_scipy(x0 + np.cumsum((0.0, *gaps)), np.cumsum((0.0, *rises)))
+
+
+@pytest.mark.parametrize("x,y", [
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+    ([0.0, 0.1, 1.0], [0.0, 0.0, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, 0.9, 1.0]),
+    ([-1.0, 0.0, 3.0], [2.0, -1.0, -1.0]),
+    ([0.0, 1e-9, 1.0], [1.0, 1.0, 1.0]),
+], ids=["peak", "flat-then-rise", "monotone", "fall-then-flat", "constant"])
+def test_pchip_on_three_points_is_scipys(x, y):
+    _pchip_matches_scipy(np.array(x), np.array(y))

@@ -144,7 +144,16 @@ def test_step_limit_reports_failure():
     assert not res.converged
     assert len(res.history) == res.iterations == 5
     assert res.stop == res.history[-1]["stop"] == "no convergence in 5 Newton steps"
-    assert all(e["cg_iterations"] <= 2 * 200 for e in res.history)
+    # one projected CG solve per step, which max_inner caps
+    assert all(e["cg_iterations"] <= 200 for e in res.history)
+
+
+def test_inner_limit_caps_every_step():
+    # at max_inner=3 the cap binds: steps that need more stop at exactly 3
+    res = maximize_entropy(ConstraintSet.of(("123", 0.6)), 16,
+                           max_inner=3, max_outer=5)
+    steps = [e["cg_iterations"] for e in res.history]
+    assert len(steps) == 5 and max(steps) == 3 and all(i <= 3 for i in steps), steps
 
 
 @pytest.mark.parametrize("pairs,m,cause", [

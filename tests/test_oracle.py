@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     joint_star_counts,
@@ -23,6 +25,7 @@ from permutons import (
     star12_entropy,
     star12_r_from_rho,
 )
+from permutons.oracle import _logsumexp
 
 
 def s_of(rho):
@@ -120,3 +123,43 @@ def test_ldp_estimate_input_validation():
         with pytest.raises(ValueError, match=cause):
             ldp_estimate(n, rho, eps)
     assert ldp_estimate(np.int64(50), 0.4, 0.05) == ldp_estimate(50, 0.4, 0.05)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_logsumexp_is_scipys_bit_for_bit(values, ties, seed):
+    from scipy.special import logsumexp
+
+    a = np.array(values)
+    # copy the maximum onto up to `ties` more entries
+    a[np.random.default_rng(seed).integers(0, a.size, ties)] = a.max()
+    out = _logsumexp(a)
+    assert type(out) is np.float64
+    assert _same_bits(out, logsumexp(a))
+
+
+@pytest.mark.parametrize("a", [[0.0], [-745.0], [3.5, 3.5], [1.0, 2.0, 2.0, 2.0, 1.0],
+                               [-1e300, 0.0]])
+def test_logsumexp_of_short_and_tied_arrays_is_scipys(a):
+    from scipy.special import logsumexp
+
+    assert _same_bits(_logsumexp(np.array(a)), logsumexp(np.array(a)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 50, 200, 500])
+def test_logsumexp_of_mahonian_windows_is_scipys(n):
+    # the table is palindromic, so a window around the middle has tied maxima
+    from scipy.special import logsumexp
+
+    lc = mahonian_log_gf(n)
+    grid = np.arange(lc.size) / (n * (n - 1) // 2)
+    for rho in (0.1, 0.3, 0.5, 0.77):
+        for eps in (0.01, 0.05, 0.2, 1.0):
+            window = lc[np.abs(grid - rho) < eps]
+            if window.size:
+                assert _same_bits(_logsumexp(window), logsumexp(window))

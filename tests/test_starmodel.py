@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutons import (
@@ -231,6 +231,34 @@ def test_window_lse_matches_direct_logsumexp(size, j, seed):
     ref = np.array([logsumexp(a[max(0, i - j):i + 1]) for i in range(size)])
     assert out.shape == a.shape
     assert np.abs(out - ref).max() <= 1e-13
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(0.5)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+@example(1e-310)
+@example(1.1102230246251565e-16)
+@example(0.9999999999999999)
+def test_dilogarithm_is_cephes_spence_bit_for_bit(z):
+    from scipy.special import spence
+
+    assert starmodel._li2(z) == 1.0 * spence(1.0 - z)
+
+
+def test_dilogarithm_end_values():
+    assert starmodel._li2(0.0) == 0.0
+    assert starmodel._li2(1.0) == math.pi * math.pi / 6
+
+
+@pytest.mark.parametrize("z", [-0.5, -5e-324, 1.0000000000000002, 2.0, math.inf,
+                               math.nan])
+def test_dilogarithm_refuses_arguments_outside_its_domain(z):
+    with pytest.raises(ValueError, match=r"dilogarithm argument z = .* outside \[0, 1\]"):
+        starmodel._li2(z)
 
 
 def star23_model(alpha):
