@@ -563,7 +563,6 @@ def _manifest(argv, args, scalars, wall: float, code: int) -> dict:
     import platform
 
     import numpy
-    import scipy
 
     from . import __version__
 
@@ -574,7 +573,6 @@ def _manifest(argv, args, scalars, wall: float, code: int) -> dict:
         "threads": getattr(args, "threads", None),
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__,
-                     "scipy": scipy.__version__,
                      "permutons": __version__},
         "wall_time_s": wall,
         "exit_code": code,
@@ -601,17 +599,18 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     scalars: dict = {}
     try:
-        code = args.handler(args, scalars)
+        try:
+            code = args.handler(args, scalars)
+        except RuntimeError as exc:
+            # non-convergence surfaced as an exception (e.g. rebalancing stall)
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+        if args.manifest:
+            _write_json(args.manifest,
+                        _manifest(argv, args, scalars, time.perf_counter() - t0, code))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # non-convergence surfaced as an exception (e.g. rebalancing stall)
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3
-    if args.manifest:
-        _write_json(args.manifest,
-                    _manifest(argv, args, scalars, time.perf_counter() - t0, code))
     return code
 
 

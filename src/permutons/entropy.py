@@ -20,9 +20,13 @@ Heat flow smooths a grid by damping its discrete cosine modes:
 The cosine basis (DCT-II, Neumann boundary) is the eigensystem of the grid
 Laplacian with zero-flux boundaries, and uniform marginals are equivalent to
 the vanishing of all pure modes g(j, 0), g(0, k) for j, k > 0 -- the damping
-multiplies zeros there, so marginals are preserved automatically.  Mode
-truncation can introduce slightly negative cells; those are clipped, and
-``rebalance_marginals`` restores the marginals if they moved.
+multiplies zeros there, so marginals are preserved automatically.  The
+DCT-II is the DFT of the half-sample mirror (Ahmed, Natarajan and Rao,
+IEEE Trans. Computers C-23, 1974): bin (j, k) of the 2m x 2m mirrored
+grid is cosine mode (min(j, 2m - j), k) times a phase that the real,
+mirror-symmetric damping leaves alone.  Mode truncation can introduce
+slightly negative cells; those are clipped, and ``rebalance_marginals``
+restores the marginals if they moved.
 """
 
 from __future__ import annotations
@@ -85,15 +89,15 @@ def riemann_refinement(g: GridPermuton, levels) -> list[tuple[int, float]]:
 
 def heat_flow(g: GridPermuton, spec: HeatFlowSpec) -> GridPermuton:
     """Damp cosine modes by exp(-(j^2+k^2) t), clip, and rebalance."""
-    from scipy.fft import dctn, idctn
-
     m = g.m
-    d = g.density()
-    c = dctn(d, norm="ortho")
-    modes = np.arange(m)
-    damp = np.exp(-spec.t * (modes[:, None] ** 2 + modes[None, :] ** 2))
-    j_max = m if spec.j_max is None else min(spec.j_max, m)
-    k_max = m if spec.k_max is None else min(spec.k_max, m)
-    damp = damp * (modes[:, None] < j_max) * (modes[None, :] < k_max)
-    w2 = idctn(c * damp, norm="ortho") / (m * m)
+    f = np.fft.fft(np.fft.rfft(np.pad(g.density(), (0, m), mode="symmetric")), axis=0)
+    j = np.minimum(np.arange(2 * m), np.arange(2 * m, 0, -1))[:, None]
+    k = np.arange(m + 1)
+    # a huge t overflows t (j^2 + k^2) to inf, and exp(-inf) = 0 is the damping
+    with np.errstate(over="ignore"):
+        damp = np.exp(-spec.t * (j ** 2 + k ** 2))
+    # bin m of either axis is cosine mode m, which is zero: every cutoff drops it
+    damp = damp * (j < min(spec.j_max or m, m)) * (k < min(spec.k_max or m, m))
+    # rfft2 and irfft2, but only the m rows kept go through the last inverse
+    w2 = np.fft.irfft(np.fft.ifft(f * damp, axis=0)[:m])[:, :m] / (m * m)
     return GridPermuton(rebalance_marginals(np.where(w2 < 0, 0.0, w2)))

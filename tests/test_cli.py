@@ -58,7 +58,7 @@ def test_star12_outputs_and_manifest(tmp_path):
     assert record["exit_code"] == 0
     assert record["subcommand"] == "star12"
     assert record["scalars"]["r"] == 0
-    assert "numpy" in record["versions"]
+    assert set(record["versions"]) == {"python", "numpy", "permutons"}
 
 
 def test_manifest_identical_modulo_wall_time(tmp_path):
@@ -102,6 +102,17 @@ def test_trials_accept_exponent_form(capsys):
     assert main(["sweep-ab", "--na", "2", "--nb", "2", "--trials", "1000"]) == 0
     first, second = capsys.readouterr().out.split("a,b,rho12,rho123")[1:]
     assert first == second
+
+
+def test_unwritable_manifest_exits_2(tmp_path, capsys):
+    # a manifest path in a missing directory fails like such an --out path
+    missing = tmp_path / "missing"
+    for argv in (["dimple", "--out", missing / "x.txt"],
+                 ["star12", "--rho", "0.4", "--grid", "8", "--manifest", missing / "m.json"]):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    assert not missing.exists()
 
 
 def test_argument_errors_exit_2(tmp_path, capsys):

@@ -7,11 +7,16 @@ coarsening (refinement sequences are nonincreasing).  Smoothing by the
 separable heat semigroup damps Fourier modes; constant marginals live in
 the modes the flow never touches, so marginals survive to machine
 precision, and the flow moves every grid toward uniform, the entropy
-maximizer.
+maximizer.  The flow runs through numpy's FFT of the mirrored grid; a
+property test holds it to the same flow through scipy's DCT-II.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     GridPermuton,
@@ -141,6 +146,44 @@ def test_heat_flow_mode_cutoff():
     # t = 0 with no cutoff is the identity
     same = heat_flow(g, HeatFlowSpec(0.0))
     assert np.abs(same.w - g.w).max() <= 1e-13
+
+
+def test_heat_flow_huge_time_is_uniform_without_warnings():
+    # t (j^2 + k^2) overflows to inf for every mode but the constant one
+    g = random_grid(8, np.random.default_rng(18))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = heat_flow(g, HeatFlowSpec(1e308))
+    assert np.abs(out.w - 1.0 / 64.0).max() <= 1e-16
+
+
+def _dct_heat_flow(g, spec):
+    """The flow through scipy's orthonormal DCT-II, written out as the reference."""
+    from scipy.fft import dctn, idctn
+
+    m = g.m
+    modes = np.arange(m)
+    damp = np.exp(-spec.t * (modes[:, None] ** 2 + modes[None, :] ** 2))
+    j_max = m if spec.j_max is None else min(spec.j_max, m)
+    k_max = m if spec.k_max is None else min(spec.k_max, m)
+    damp = damp * (modes[:, None] < j_max) * (modes[None, :] < k_max)
+    w2 = idctn(dctn(g.density(), norm="ortho") * damp, norm="ortho") / (m * m)
+    return rebalance_marginals(np.where(w2 < 0, 0.0, w2))
+
+
+CUTOFFS = {"none": lambda m: None, "one": lambda m: 1,
+           "m-1": lambda m: max(m - 1, 1), "past m": lambda m: m + 3}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+       st.sampled_from(sorted(CUTOFFS)), st.sampled_from(sorted(CUTOFFS)),
+       st.integers(0, 2**32 - 1))
+def test_heat_flow_is_the_cosine_flow(m, t, j_cut, k_cut, seed):
+    g = random_grid(m, np.random.default_rng(seed))
+    spec = HeatFlowSpec(t, j_max=CUTOFFS[j_cut](m), k_max=CUTOFFS[k_cut](m))
+    want = _dct_heat_flow(g, spec)
+    assert np.abs(heat_flow(g, spec).w - want).max() <= 1e-14 * want.max()
 
 
 def test_heat_flow_spec_validation():

@@ -6,15 +6,14 @@ someone touches it; the first test touches them all.  The CLI pins the
 BLAS thread-count variables for ``--threads`` before numpy initializes,
 which works only while importing the package and the CLI module does not
 import numpy; the second test checks that in a fresh interpreter.  The
-only scipy subpackage the package uses is ``scipy.fft``, which ``heat_flow``
-imports on its first call (and which loads ``scipy.special`` itself); the
-dilogarithm behind ``star12_rho``/``star12_entropy``, the log-sum-exp of
-``ldp_estimate`` and the monotone cubic of ``reconstruct`` are numpy ports.
-So a process that never smooths a grid, such as ``permutons optimize``,
-``star12`` or ``ldp``, loads no scipy subpackage, which saves ``star12``
-and ``ldp`` about 0.3 s of a cold run (0.24 s against 0.55 s for
-``star12 --rho 0.3 --grid 8``).  The third test checks that in a fresh
-interpreter, through the library and through the CLI.  Every value type
+package's only runtime dependency is numpy: ``heat_flow`` runs the cosine
+flow through numpy's FFT of the mirrored grid, and the dilogarithm behind
+``star12_rho``/``star12_entropy``, the log-sum-exp of ``ldp_estimate`` and
+the monotone cubic of ``reconstruct`` are numpy ports of scipy's.  The
+third test checks, in a fresh interpreter, through the library and through
+the CLI (``heatflow`` and a run with ``--manifest`` included), that no
+scipy module loads, and the fourth that no module of the package imports
+scipy.  Every value type
 holds its arrays read-only through one helper, ``core._frozen``; a test
 checks that no other code in the package sets an array flag.  Every
 exact density is a sum of the quadrant terms in one table,
@@ -57,21 +56,24 @@ def test_package_and_cli_import_without_numpy():
 
 
 COLD_START = """
-import contextlib, io, math, sys
+import contextlib, io, math, os, sys, tempfile
 from permutons import (core, patterns, entropy, insertion, starmodel,
                        optimizer, regions, oracle, cli)
 
 def report(value=0.0):
     assert math.isfinite(value), value
-    print(sorted(n for n in ("scipy.fft", "scipy.interpolate", "scipy.special")
-                 if n in sys.modules))
+    print(sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy.")))
 
-for argv in (["optimize", "--constraints", "12=0.3", "--grid", "16"],
-             ["star12", "--rho", "0.3", "--grid", "8"],
-             ["ldp", "--rho", "0.4", "--n", "50"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    report()
+with tempfile.TemporaryDirectory() as tmp:
+    grid = os.path.join(tmp, "g.csv")
+    for argv in (["optimize", "--constraints", "12=0.3", "--grid", "16"],
+                 ["star12", "--rho", "0.3", "--grid", "8", "--out", grid,
+                  "--manifest", os.path.join(tmp, "m.json")],
+                 ["ldp", "--rho", "0.4", "--n", "50"],
+                 ["heatflow", "--in", grid, "--t", "0.05"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        report()
 report(starmodel.star12_entropy(-2.0))
 report(oracle.ldp_estimate(40, 0.4, 0.05))
 report(entropy.entropy_grid(
@@ -81,13 +83,23 @@ report(insertion.reconstruct(insertion.star12_family(-1.0, 8, 16), 8).correction
 """
 
 
-def test_scipy_subpackages_load_only_in_the_functions_that_call_them():
-    # scipy.fft loads scipy.special; nothing loads scipy.interpolate
-    assert _fresh(COLD_START).splitlines() == [
-        "[]", "[]", "[]", "[]", "[]",
-        "['scipy.fft', 'scipy.special']",
-        "['scipy.fft', 'scipy.special']",
-    ]
+def test_no_scipy_module_loads():
+    assert _fresh(COLD_START).splitlines() == ["[]"] * 8
+
+
+def test_no_module_imports_scipy():
+    sites = []
+    for path in sorted((ROOT / "src" / "permutons").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            sites += [(path.name, node.lineno) for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert sites == []
 
 
 def test_only_the_core_helper_sets_array_flags():
