@@ -4,7 +4,8 @@ A permuton is a probability measure on the unit square with uniform
 marginals -- the analytic limit object of a sequence of large permutations.
 This package computes with them:
 
-- ``core``: grid and segment permuton types, metrics, sampling, coarsening;
+- ``core``: grid and segment permuton types, metrics, sampling, coarsening,
+  and ``ConvergenceError``, raised by every solver that gives up;
 - ``patterns``: exact (k <= 3) and Monte-Carlo pattern densities;
 - ``entropy``: permuton entropy, refinement diagnostics, heat-flow smoothing;
 - ``insertion``: insertion-measure representation and its entropy form;
@@ -52,6 +53,7 @@ _EXPORTS = {
     "rebalance_marginals": "core",
     "grid_to_csv": "core",
     "grid_from_csv": "core",
+    "ConvergenceError": "core",
     # patterns
     "PatternSpec": "patterns",
     "DensityEstimate": "patterns",
@@ -76,7 +78,6 @@ _EXPORTS = {
     "family_to_csv": "insertion",
     "family_from_csv": "insertion",
     # starmodel
-    "ConvergenceError": "starmodel",
     "StarModel": "starmodel",
     "StarSolution": "starmodel",
     "star12_rho": "starmodel",

@@ -26,8 +26,9 @@ imported, which is why this module imports the library lazily), --out, and
 time, and the key scalars of the run).
 
 Exit codes: 0 success; 2 validation or usage error; 3 solver
-non-convergence, in which case outputs and the manifest are still written
-so the failure can be inspected.
+non-convergence (a ``ConvergenceError``), in which case outputs and the
+manifest are still written so the failure can be inspected.  Any other
+exception is a bug and ends the run with its traceback.
 
 All floats are serialized with 17 significant digits, so rerunning the same
 command with the same seed reproduces every data output byte for byte; the
@@ -596,13 +597,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads is not None:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
+    from .core import ConvergenceError
+
     t0 = time.perf_counter()
     scalars: dict = {}
     try:
         try:
             code = args.handler(args, scalars)
-        except RuntimeError as exc:
-            # non-convergence surfaced as an exception (e.g. rebalancing stall)
+        except ConvergenceError as exc:
+            # a solver gave up inside a handler (e.g. a rebalancing stall)
             print(f"error: {exc}", file=sys.stderr)
             code = 3
         if args.manifest:

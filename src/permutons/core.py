@@ -61,6 +61,11 @@ the copy holds its arrays the same way and builds its own draw table.
 
 ``rebalance_marginals`` is the one marginal projection and the one judge of
 balance: a grid already within its tolerance comes back untouched.
+
+``ConvergenceError`` is the one way a solver of the package reports that it
+gave up: the projection here when its sweeps stall, and the star-model
+quadrature and Newton iteration of ``starmodel``.  It carries the last
+residual, and the last iterate where there is one.
 """
 
 from __future__ import annotations
@@ -79,6 +84,15 @@ _REBALANCE_MAX_ITER = 100_000
 # 600,000 up to about 20), and guide steps before the binary search
 _SMALL_TABLE = 16
 _STEPS = 3
+
+
+class ConvergenceError(RuntimeError):
+    """Solver failed to converge; carries the last residual and iterate."""
+
+    def __init__(self, message: str, residual: float, alpha=None):
+        super().__init__(message)
+        self.residual = residual
+        self.alpha = None if alpha is None else np.asarray(alpha)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -443,17 +457,13 @@ class _Sampler:
         return x, y
 
     def ranks(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The pattern of n points as 0-based y-ranks in x order; points
-        with a tied coordinate are drawn again (at most 64 times)."""
-        for _ in range(64):
-            x, y = self.points(n, rng)
-            ox, oy = np.argsort(x), np.argsort(y)
-            xs, ys = x[ox], y[oy]
-            if not ((xs[1:] == xs[:-1]).any() or (ys[1:] == ys[:-1]).any()):
-                ry = np.empty(n, dtype=np.intp)
-                ry[oy] = np.arange(n)
-                return ry[ox]
-        raise RuntimeError("persistent coordinate ties while sampling")
+        """The pattern of n points as 0-based y-ranks in x order: one
+        argsort per axis.  A tied coordinate (probability zero) is ordered
+        by the sort, deterministically, and the ranks stay a permutation."""
+        x, y = self.points(n, rng)
+        ry = np.empty(n, dtype=np.intp)
+        ry[np.argsort(y)] = np.arange(n)
+        return ry[np.argsort(x)]
 
 
 def _sampler_of(source: GridPermuton | SegmentPermuton) -> _Sampler:
@@ -487,11 +497,12 @@ def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,
     """Pattern of n i.i.d. points from the permuton.
 
     Points are sorted by x; the output one-line values are the ranks of the
-    corresponding y values.  Ties (probability zero in exact arithmetic, and
-    possible only through floating-point collisions) trigger a fresh draw.
-    Each draw takes the uniforms ``sample_points`` takes, from the table
-    ``source`` keeps, and one argsort per axis ranks the points and finds
-    the ties.  n must be an integer (numpy integers included, bools not).
+    corresponding y values.  The draw takes the uniforms ``sample_points``
+    takes, from the table ``source`` keeps, and one argsort per axis ranks
+    the points.  Ties have probability zero in exact arithmetic and arise
+    only through floating-point collisions; the argsort orders them, so the
+    result is a permutation all the same.  n must be an integer (numpy
+    integers included, bools not).
     """
     if _as_count(n, "n") < 1:
         raise ValueError("need n >= 1 sample points")
@@ -543,7 +554,8 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
     Sinkhorn iteration: scale every row sum to 1/m, then every column sum.
     For strictly positive w this converges geometrically to the unique
     doubly-stochastic-scaled matrix diag(u) w diag(v).  Zero rows or columns
-    cannot be repaired and raise ValueError, as do NaN or infinite entries.
+    cannot be repaired and raise ValueError, as do NaN or infinite entries;
+    sweeps that stall raise ConvergenceError with the last deviation.
     It stops once every marginal and the total are within 1e-13: m marginals
     each within it can leave the total m times farther off, past what
     GridPermuton accepts.  A grid already there comes back as it is.
@@ -562,8 +574,9 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
         if dev <= _REBALANCE_TOL and abs(w.sum() - 1.0) <= _REBALANCE_TOL:
             return w
         if sweep == _REBALANCE_MAX_ITER:
-            raise RuntimeError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} in "
-                               f"{_REBALANCE_MAX_ITER} iterations (last deviation {dev:.3e})")
+            raise ConvergenceError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
+                                   f"in {_REBALANCE_MAX_ITER} iterations (last deviation "
+                                   f"{dev:.3e})", float(dev))
         # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
         # is; min would return NaN and miss a zero sum next to a NaN one
         if np.fmin.reduce(rows) <= 0:

@@ -101,7 +101,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridPermuton, _as_count, cdf, rebalance_marginals
+from .core import ConvergenceError, GridPermuton, _as_count, cdf, rebalance_marginals
 from .entropy import entropy_grid
 from .patterns import PatternSpec, _hessian_operator, density_grid_exact_with_grad
 
@@ -370,7 +370,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
             while stop is None:
                 try:
                     trial = rebalance_marginals(cur.w * np.exp(a * dw / cur.w))
-                except (RuntimeError, ValueError) as exc:
+                except (ConvergenceError, ValueError) as exc:
                     stop, a = f"projection stalled: {exc}", 0.0
                     break
                 nxt = _Iterate(trial, patterns, targets)

@@ -6,13 +6,13 @@ the joint vector of star-pattern counts
     (#*2, #**3, #**2, #**1)
 
 = (ascending pairs; triples whose last entry is the largest / the middle /
-the smallest).  The aggregate multiset is cross-validated against the
-insertion recurrence: building a permutation by inserting the new maximum
-with i earlier and j - i later elements (j the length before insertion) adds
+the smallest).  The tests hold the aggregate multiset to the insertion
+recurrence: building a permutation by inserting the new maximum with i
+earlier and j - i later elements (j the length before insertion) adds
 (i, C(i,2), i (j - i), C(j-i, 2)) to the four counts.  The recurrence tracks
-each insertion history's statistics; summed over S_n the two tallies must
-agree exactly, which pins down the exponent bookkeeping used by the
-star-model generating functions.
+each insertion history's statistics; summed over S_n the two tallies agree
+exactly for every n the enumeration accepts, which pins down the exponent
+bookkeeping used by the star-model generating functions.
 
 ``ldp_estimate`` measures the large-deviations rate of 1 2 pattern counts:
 with C_i the Mahonian counts of permutations of n by 1 2 patterns and N =
@@ -55,23 +55,7 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
         stats[:, 1] += last_max
         stats[:, 3] += last_min
         stats[:, 2] += ~(last_max | last_min)
-    direct = Counter(map(tuple, stats.tolist()))
-    # insertion recurrence: must reproduce the aggregate multiset exactly
-    rec = Counter({(0, 0, 0, 0): 1})
-    for j in range(1, n):
-        nxt = Counter()
-        for vec, cnt in rec.items():
-            for i in range(j + 1):
-                after = j - i
-                key = (vec[0] + i,
-                       vec[1] + i * (i - 1) // 2,
-                       vec[2] + i * after,
-                       vec[3] + after * (after - 1) // 2)
-                nxt[key] += cnt
-        rec = nxt
-    if rec != direct:
-        raise RuntimeError("insertion recurrence disagrees with direct enumeration")
-    return dict(direct)
+    return dict(Counter(map(tuple, stats.tolist())))
 
 
 def ldp_estimate(n: int, rho: float, eps: float) -> float:

@@ -14,8 +14,8 @@ F1 is traced by permutons that are an ascent of relative length t spliced
 with a descent: the ascending block contributes t^3 to rho_123 and the rest
 contributes (1-t)^3 + 3t(1-t)^2 to rho_321 (all triples with at most one
 point in the ascent descend).  F1 and F2 cross at a concave "dimple" (r, r)
-where r = s^3 and s solves s^3 = (1-s)^3 + 3 s (1-s)^2; both coordinates of
-the crossing are computed here by bisection.
+where r = s^3 and s solves s^3 = (1-s)^3 + 3 s (1-s)^2, that is
+s^3 - 3 s^2 + 1 = 0, whose root in (0, 1) is s = 1 + 2 cos(5 pi / 9).
 
 ``region_star23_boundary`` gives the two boundary curves of the star pair
 (rho_*2, rho_**3).
@@ -28,6 +28,7 @@ feasible region, so the sweep cloud traces that region's shape from within.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,21 +93,10 @@ def region_star23_boundary(t_samples) -> tuple[RegionCurve, RegionCurve]:
 def dimple() -> tuple[float, float]:
     """The crossing (r, r) of F1 and F2: solves s^3 = (1-s)^3 + 3s(1-s)^2.
 
-    Returns (s, r) with r = s^3.  The defining function is strictly
-    increasing on [0, 1] with a sign change, so bisection to a bracket of
-    width 1e-12 is safe.
+    Returns (s, r) with r = s^3.  The equation reduces to s^3 - 3s^2 + 1 = 0,
+    whose trigonometric root in (0, 1) is s = 1 + 2 cos(5 pi / 9).
     """
-    def h(s):
-        return s ** 3 - ((1 - s) ** 3 + 3 * s * (1 - s) ** 2)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+    s = 1.0 + 2.0 * math.cos(5.0 * math.pi / 9.0)
     return s, s ** 3
 
 

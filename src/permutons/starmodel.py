@@ -27,7 +27,8 @@ maximizer is the Legendre dual
 
 Newton iteration on grad F = rho/k! therefore converges quadratically for
 targets strictly inside the feasible region and diverges (|alpha| -> inf)
-on its boundary, which the solver reports as an error.
+on its boundary, which the solver reports as a ``ConvergenceError`` (the
+package's one failure type for a solver that gives up, defined in ``core``).
 
 The single-term model (r, s) = (1, 0) is the one-parameter 1 2 model and has
 closed forms: with rate r (alpha = -r), the permuton CDF, density, pattern
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import GridPermuton, _as_count, _frozen, uniform_grid
+from .core import ConvergenceError, GridPermuton, _as_count, _frozen, uniform_grid
 
 # Below this the dilogarithm closed forms switch to Taylor series.
 _SERIES_SWITCH = 1e-3
@@ -80,15 +81,6 @@ _MAX_HALVINGS = 30
 # First and largest Gauss-Legendre node count per axis of the star quadrature.
 _QUAD = 96
 _MAX_QUAD = 768
-
-
-class ConvergenceError(RuntimeError):
-    """Solver failed to converge; carries the last residual and iterate."""
-
-    def __init__(self, message: str, residual: float, alpha=None):
-        super().__init__(message)
-        self.residual = residual
-        self.alpha = None if alpha is None else np.asarray(alpha)
 
 
 # Cephes spence rational approximation (Moshier, Methods and Programs for
@@ -228,8 +220,6 @@ def star12_grid(r: float, m: int) -> GridPermuton:
     G = star12_cdf(r, edges[:, None], edges[None, :])
     w = np.diff(np.diff(G, axis=0), axis=1)
     w = np.where(np.abs(w) < 1e-300, 0.0, w)
-    if w.min() < -1e-12:
-        raise RuntimeError(f"corner differences produced mass {w.min():.3e}")
     return GridPermuton(np.clip(w, 0.0, None))
 
 
@@ -382,14 +372,14 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     return F, grad, hess
 
 
-def _fe_checked(exponents, alpha, nquad, scaled=None, tol=0.0):
-    """(F, grad, hess) at 2*nquad nodes, and whether nquad nodes resolve them:
-    F within 1e-6 max(1, |F|) and, with ``scaled`` given, the residual
-    |grad - scaled| within ``tol``.  Unresolved at _MAX_QUAD nodes, it raises
-    the one ConvergenceError for an under-resolved quadrature."""
-    F1 = _fe_parts(exponents, alpha, nquad)[0]
+def _fe_checked(exponents, alpha, coarse, nquad, scaled=None, tol=0.0):
+    """(F, grad, hess) at 2*nquad nodes, and whether the ``coarse`` parts the
+    caller holds at nquad nodes resolve them: F within 1e-6 max(1, |F|) and,
+    with ``scaled`` given, the residual |grad - scaled| within ``tol``.
+    Unresolved at _MAX_QUAD nodes, it raises the one ConvergenceError for an
+    under-resolved quadrature."""
     parts = _fe_parts(exponents, alpha, 2 * nquad)
-    miss = abs(F1 - parts[0])
+    miss = abs(coarse[0] - parts[0])
     if miss <= 1e-6 * max(1.0, abs(parts[0])):
         miss = 0.0 if scaled is None else float(np.abs(parts[1] - scaled).max())
         if miss <= tol:
@@ -419,9 +409,11 @@ def evaluate_star(model: StarModel) -> StarSolution:
     exps = [(r, s) for r, s, _ in model.terms]
     alpha = model.alpha
     nquad = _QUAD
-    while not (checked := _fe_checked(exps, alpha, nquad))[1]:
+    parts, resolved = _fe_parts(exps, alpha, nquad), False
+    while not resolved:
+        parts, resolved = _fe_checked(exps, alpha, parts, nquad)
         nquad *= 2
-    return _solution(exps, alpha, checked[0], 0)
+    return _solution(exps, alpha, parts, 0)
 
 
 def solve_star(exponents, targets, tol: float = 1e-10,
@@ -453,18 +445,18 @@ def solve_star(exponents, targets, tol: float = 1e-10,
     scaled = targets / _k_factorials(exps)
     alpha = np.zeros(len(exps))
     nquad = _QUAD
-    _, grad, hess = _fe_parts(exps, alpha, nquad)
+    parts = _fe_parts(exps, alpha, nquad)
     iters = 0
     while True:
+        _, grad, hess = parts
         res = grad - scaled
         rnorm = float(np.abs(res).max())
         if rnorm <= tol:
             # confirm quadrature accuracy at the solution, else double the nodes
-            parts, resolved = _fe_checked(exps, alpha, nquad, scaled, tol)
+            parts, resolved = _fe_checked(exps, alpha, parts, nquad, scaled, tol)
             if resolved:
                 return _solution(exps, alpha, parts, iters)
             nquad *= 2
-            _, grad, hess = parts
             continue
         if iters >= max_iter:
             raise ConvergenceError(
@@ -482,9 +474,9 @@ def solve_star(exponents, targets, tol: float = 1e-10,
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = alpha - scale * step
-            _, gt, ht = _fe_parts(exps, trial, nquad)
-            if float(np.abs(gt - scaled).max()) < rnorm:
-                alpha, grad, hess = trial, gt, ht
+            pt = _fe_parts(exps, trial, nquad)
+            if float(np.abs(pt[1] - scaled).max()) < rnorm:
+                alpha, parts = trial, pt
                 break
             scale *= 0.5
         else:

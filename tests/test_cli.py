@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permutons import starmodel
+from permutons import core, starmodel
+from permutons.core import ConvergenceError
 from permutons.cli import _THREAD_VARS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -312,7 +313,7 @@ def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeyp
         # the run needs three Newton steps, one projection each
         calls.append(1)
         if len(calls) == 2:
-            raise RuntimeError("marginal rebalancing did not reach 1.0e-13")
+            raise ConvergenceError("marginal rebalancing did not reach 1.0e-13", 1.0)
         return real(w, *args, **kwargs)
 
     monkeypatch.setattr(opt, "rebalance_marginals", stalls_on_second_call)
@@ -328,6 +329,35 @@ def test_optimize_stalled_projection_exits_3_with_grid(tmp_path, capsys, monkeyp
     assert record["exit_code"] == 3
     assert record["scalars"]["converged"] is False
     assert record["scalars"]["iterations"] == 2 == len(calls)
+
+
+def test_rebalancing_stall_in_a_handler_exits_3(tmp_path, capsys, monkeypatch):
+    # the reconstruction's projection gives up after two sweeps: main maps the
+    # ConvergenceError to exit 3 and still writes the manifest
+    g, fam, man = tmp_path / "g.csv", tmp_path / "fam.csv", tmp_path / "m.json"
+    assert main(["star12", "--r", "-2.0", "--grid", "32", "--out", str(g)]) == 0
+    assert main(["insertion", "--in", str(g), "--out", str(fam)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(core, "_REBALANCE_MAX_ITER", 2)
+    assert main(["insertion", "--in", str(fam), "--grid", "16",
+                 "--out", str(tmp_path / "rec.csv"), "--manifest", str(man)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: marginal rebalancing did not reach 1.0e-13 in 2 iterations "
+        "(last deviation ")
+    assert json.loads(load(man))["exit_code"] == 3
+
+
+def test_a_bug_in_a_handler_is_not_non_convergence(monkeypatch):
+    # only ConvergenceError means "gave up"; any other RuntimeError propagates
+    import permutons.regions as regions
+
+    def broken():
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(regions, "dimple", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["dimple"])
 
 
 def test_optimize_beyond_resolution_exits_3(tmp_path, capsys):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from permutons import (
     MARGINAL_TOL,
+    ConvergenceError,
     GridPermuton,
     Permutation,
     SegmentPermuton,
@@ -414,6 +415,17 @@ def test_rebalance_marginals_checks_the_total_as_well():
     GridPermuton(out)
 
 
+def test_rebalance_stall_raises_convergence_error(monkeypatch):
+    # a 1e-30 cell needs many sweeps; two leave a deviation of 0.1
+    monkeypatch.setattr(core, "_REBALANCE_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError) as err:
+        rebalance_marginals([[1.0, 1e-30], [1.0, 1.0]])
+    assert str(err.value) == ("marginal rebalancing did not reach 1.0e-13 in 2 "
+                              "iterations (last deviation 1.000e-01)")
+    assert err.value.residual == pytest.approx(0.1)
+    assert err.value.alpha is None
+
+
 def test_segment_permuton_marginals():
     g = gamma_ab(0.6, 0.15)
     assert isinstance(g, SegmentPermuton)
@@ -450,6 +462,19 @@ def test_sample_permutation_seeded_and_valid():
     assert np.array_equal(p1.values, p2.values)
     assert not np.array_equal(p1.values, p3.values)
     assert np.array_equal(np.sort(p1.values), np.arange(1, 51))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.booleans(), st.integers(1, 8), st.just(0.0) | st.floats(0.01, 1.0),
+       st.floats(0.02, 1.0), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_sample_permutation_ranks_the_sampled_points(grid, m, a, frac, n, seed):
+    # the pattern is the y-ranks, in x order, of the points sample_points
+    # draws from the same seed; the ranks here count smaller coordinates
+    src = random_grid(m, np.random.default_rng(seed)) if grid else gamma_ab(a, frac * a / 2)
+    x, y = sample_points(src, n, np.random.default_rng(seed))
+    ry = (y[None, :] < y[:, None]).sum(axis=1)
+    want = ry[np.argsort(x, kind="stable")]
+    assert np.array_equal(sample_permutation(src, n, seed).values - 1, want)
 
 
 def test_sample_permutation_tracks_source():

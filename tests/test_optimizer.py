@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from permutons import (
     ConstraintSet,
+    ConvergenceError,
     GridPermuton,
     OptimizerResult,
     density_grid_exact,
@@ -216,9 +217,9 @@ def test_fractional_counts_are_refused_by_name():
 
 
 @pytest.mark.parametrize("exc", [
-    RuntimeError("marginal rebalancing did not reach 1.0e-13"),
+    ConvergenceError("marginal rebalancing did not reach 1.0e-13", 1.0),
     ValueError("cannot rebalance: non-finite mass"),
-], ids=["RuntimeError", "ValueError"])
+], ids=["ConvergenceError", "ValueError"])
 def test_stalled_projection_stops_with_last_accepted_iterate(monkeypatch, exc):
     # a Sinkhorn stall or a refused input inside a trial step ends the run
     # unconverged, with the cause recorded, instead of escaping

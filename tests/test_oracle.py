@@ -7,11 +7,13 @@ must be invariant under complementation (values v -> n+1-v), which swaps
 ascents with descents and the largest/smallest triple classes while fixing
 the middle class.  The marginal over the ascent count is the ascent
 generating table, tying the enumeration to the log-space dynamic program.
-The rate estimator must increase with n toward the constrained entropy and
-narrow with the window.
+The enumeration must agree exactly with the insertion recurrence, written
+out here, for every n it accepts.  The rate estimator must increase with n
+toward the constrained entropy and narrow with the window.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +45,29 @@ def test_joint_counts_smallest_cases():
         (1, 0, 1, 0): 1,  # 312
         (0, 0, 0, 1): 1,  # 321
     }
+
+
+def insertion_recurrence(n):
+    """Joint star counts over S_n by inserting the new maximum with i earlier
+    and j - i later elements, which adds (i, C(i,2), i (j - i), C(j-i, 2))."""
+    rec = Counter({(0, 0, 0, 0): 1})
+    for j in range(1, n):
+        nxt = Counter()
+        for vec, cnt in rec.items():
+            for i in range(j + 1):
+                after = j - i
+                key = (vec[0] + i,
+                       vec[1] + i * (i - 1) // 2,
+                       vec[2] + i * after,
+                       vec[3] + after * (after - 1) // 2)
+                nxt[key] += cnt
+        rec = nxt
+    return dict(rec)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_joint_counts_match_the_insertion_recurrence(n):
+    assert joint_star_counts(n) == insertion_recurrence(n)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -22,7 +22,10 @@ exact density is a sum of the quadrant terms in one table,
 test checks both: only ``rebalance_marginals`` decides that a grid is
 balanced (``entropy`` neither imports the tolerance nor sums marginals),
 and only ``patterns._trial_hits`` draws k-point Monte Carlo trials
-(``regions`` imports neither the sampler nor the matcher).
+(``regions`` imports neither the sampler nor the matcher).  A solver that
+gives up raises ``ConvergenceError``, defined once in ``core``; the last
+test checks that no module raises or catches a bare ``RuntimeError`` and
+that ``cli.main`` maps exactly that type to exit 3.
 """
 
 import ast
@@ -145,3 +148,25 @@ def test_balance_and_sampling_each_have_one_owner():
     loop = next(node for node in ast.walk(trees["patterns"])
                 if isinstance(node, ast.FunctionDef) and node.name == "_trial_hits")
     assert len(draws) == 1 and loop.lineno <= draws[0] <= loop.end_lineno, draws
+
+
+def test_convergence_error_is_the_one_failure_type():
+    src = ROOT / "src" / "permutons"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = [(name, node.lineno) for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "ConvergenceError"]
+    assert [name for name, _ in defined] == ["core"]
+    # RuntimeError appears once: as the base of ConvergenceError, raised or
+    # caught nowhere
+    sites = [(name, node.lineno) for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "RuntimeError"]
+    assert sites == defined
+    main = next(node for node in ast.walk(trees["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for node in ast.walk(main)
+              if isinstance(node, ast.Try) for handler in node.handlers]
+    assert "ConvergenceError" in caught and "RuntimeError" not in caught
+    from permutons import starmodel
+    assert permutons.ConvergenceError is starmodel.ConvergenceError

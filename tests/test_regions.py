@@ -4,14 +4,18 @@ The triple/reversed-triple region is bounded above by the cubic curve
 (t^3, 1 - 3t^2 + 2t^3), its coordinate mirror, below by the line
 x + y = 1/4, and by the axes segments that close the boundary.  Exact
 anchors: the cubic passes through (0, 1) and (1, 0); its midpoint is
-(1/8, 1/2); the dimple parameter solves s^3 = (1-s)^3 + 3s(1-s)^2, so the
-returned pair must satisfy r = s^3 to solver precision and the crossing
-(r, r) must lie on the cubic.  Staircase permutons with a long descent and
+(1/8, 1/2); the dimple parameter solves s^3 = (1-s)^3 + 3s(1-s)^2, that is
+s^3 - 3s^2 + 1 = 0, so the returned s must lie within one ulp of that root
+(bisected in exact rationals), r = s^3 and the crossing (r, r) must lie on
+the cubic.  Staircase permutons with a long descent and
 k = a/b ascending-block steps have closed pattern densities: both points
 in distinct steps give the ascent, so rho_12 = a^2 at b = 0 (degenerate
 diagonal) and 1 - b/a in general; three points in three distinct steps
 give rho_123 = a^3 at b = 0 and (1 - b/a)(1 - 2b/a) for k steps.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +96,13 @@ def test_dimple_point():
     # the crossing lies on the cubic and on the diagonal
     assert f1(r) == pytest.approx(r, abs=1e-9)
     assert (s, r) == pytest.approx((0.653, 0.278), abs=1e-3)
+    # s is within one ulp of the root of s^3 - 3s^2 + 1 in (0, 1), found by
+    # exact rational bisection to 2^-80
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(1, 2 ** 80):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if mid ** 3 - 3 * mid ** 2 + 1 < 0 else (mid, hi)
+    assert abs(Fraction(s) - lo) <= Fraction(math.ulp(s))
 
 
 def test_staircase_validation():

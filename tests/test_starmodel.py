@@ -456,6 +456,25 @@ def test_boundary_brackets_solver_feasibility(monkeypatch):
     assert np.asarray(err.value.alpha).shape == (2,)
 
 
+def test_each_point_and_node_count_is_evaluated_once(monkeypatch):
+    # near the lower curve the solver doubles the nodes twice and checks its
+    # solution at 768, and the evaluation of its alpha stops at 384: each
+    # check reuses the coarse parts its caller holds
+    real, calls = starmodel._fe_parts, []
+
+    def counted(exponents, alpha, nquad):
+        calls.append((np.asarray(alpha).tobytes(), nquad))
+        return real(exponents, alpha, nquad)
+
+    monkeypatch.setattr(starmodel, "_fe_parts", counted)
+    sol = solve_star(STAR23, (0.5, 0.20718))
+    assert {n for _, n in calls} == {96, 192, 384, 768}
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    evaluate_star(star23_model(sol.alpha))
+    assert [n for _, n in calls] == [96, 192, 384]
+
+
 def test_large_coefficients_evaluate_on_refined_nodes(monkeypatch):
     # the +5e-5 solution's alpha: 96 nodes disagree with 192 on F there
     model = star23_model((2.3e4, -7.7e4))
