@@ -10,11 +10,12 @@ This package computes with them:
 - ``entropy``: permuton entropy, refinement diagnostics, heat-flow smoothing;
 - ``insertion``: insertion-measure representation and its entropy form;
 - ``starmodel``: closed-form one-parameter 1 2 model, free energy and Newton
-  solver for star-pattern models, Mahonian generating function;
+  solver for star-pattern models;
 - ``optimizer``: entropy maximization under pattern-density constraints and
   Euler-Lagrange residual checks;
 - ``regions``: feasible-region boundary curves and parameterized families;
-- ``oracle``: exhaustive small-n counts and large-deviations estimates;
+- ``oracle``: exhaustive small-n counts, the Mahonian generating function
+  and large-deviations estimates;
 - ``cli``: the ``permutons`` command.
 
 Attributes are loaded lazily (PEP 562) so that importing the package does
@@ -86,7 +87,6 @@ _EXPORTS = {
     "star12_cdf": "starmodel",
     "star12_density": "starmodel",
     "star12_grid": "starmodel",
-    "mahonian_log_gf": "starmodel",
     "evaluate_star": "starmodel",
     "solve_star": "starmodel",
     # optimizer
@@ -104,6 +104,7 @@ _EXPORTS = {
     "region_star23_boundary": "regions",
     # oracle
     "joint_star_counts": "oracle",
+    "mahonian_log_gf": "oracle",
     "ldp_estimate": "oracle",
 }
 

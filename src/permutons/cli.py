@@ -1,5 +1,8 @@
 """Command-line entry point exposing every operation with run manifests.
 
+Two launchers call ``main``: the ``permutons`` console script that
+pyproject.toml declares, and ``python -m permutons`` (``__main__``).
+
 Subcommands
 -----------
 star12      closed-form one-parameter grid for a given --r or --rho
@@ -63,7 +66,10 @@ _THREAD_VARS = (
 
 
 def _json_render(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 2-space indent, floats at 17 digits."""
+    """Deterministic JSON: sorted keys, 2-space indent, floats at 17 digits.
+
+    Handlers store Python scalars (np.float64 is a float), lists, tuples and
+    dicts; anything else is a TypeError."""
     pad = " " * indent
     if isinstance(obj, float):
         if not math.isfinite(obj):
@@ -79,8 +85,6 @@ def _json_render(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_render(v, indent + 2) for v in obj) + "]"
-    if hasattr(obj, "item"):
-        return _json_render(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -589,9 +593,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads is not None and args.threads < 1:
             parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+        # argparse exits 0 after --help and 2 on a usage error
+        return exc.code
     # neither argparse nor the parser imports numpy, so the thread count is
     # pinned before numpy first loads
     if args.threads is not None:
@@ -615,7 +618,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,6 +84,9 @@ _REBALANCE_MAX_ITER = 100_000
 # 600,000 up to about 20), and guide steps before the binary search
 _SMALL_TABLE = 16
 _STEPS = 3
+# gamma_ab's largest staircase: the marginal check of a SegmentPermuton of
+# k segments takes O(k^2) memory, about 190 MB at this k
+_MAX_STEPS = 1 << 12
 
 
 class ConvergenceError(RuntimeError):
@@ -523,27 +526,33 @@ def gamma_ab(a: float, b: float) -> SegmentPermuton:
 
     Masses are proportional to segment length, so the marginal densities are
     exactly uniform.  For b = 0 the staircase degenerates to the ascending
-    diagonal from (1-a, 0) to (1, a).
+    diagonal from (1-a, 0) to (1, a).  A k above _MAX_STEPS, and an a > 0
+    too small to move 1 - a off 1, raise ValueError.
     """
     if not (0.0 <= a <= 1.0) or not (0.0 <= b <= a / 2 + 1e-15):
         raise ValueError(f"need 0 <= a <= 1 and 0 <= b <= a/2, got a={a}, b={b}")
+    if a > 0.0 and 1.0 - a == 1.0:
+        raise ValueError(f"a={a} is too small: 1 - a rounds to 1 (b={b})")
     rows = []
     if a < 1.0:
-        rows.append((0.0, 1.0 - a, 1.0, -1.0, 1.0 - a))
+        rows.append([(0.0, 1.0 - a, 1.0, -1.0, 1.0 - a)])
     if a > 0.0:
         if b == 0.0:
-            rows.append((1.0 - a, 1.0, 0.0, 1.0, a))
+            rows.append([(1.0 - a, 1.0, 0.0, 1.0, a)])
         else:
-            k = int(np.floor(a / b + 1e-12))
-            for j in range(1, k + 1):
-                xl = 1.0 - a + (j - 1) * b
-                xr = 1.0 - a + j * b
-                # y = (2j-1) b + 1 - a - x descends from jb at x=xl to (j-1)b.
-                rows.append((xl, xr, (2 * j - 1) * b + 1.0 - a - xl, -1.0, b))
+            k = np.floor(a / b + 1e-12)
+            if k > _MAX_STEPS:
+                raise ValueError(f"a={a}, b={b} needs k={k:g} steps, more than {_MAX_STEPS}")
+            k = int(k)
+            j = np.arange(1, k + 1, dtype=float)
+            xl = 1.0 - a + (j - 1) * b
+            # y = (2j-1) b + 1 - a - x descends from jb at x=xl to (j-1)b.
+            rows.append(np.column_stack([xl, 1.0 - a + j * b, (2 * j - 1) * b + 1.0 - a - xl,
+                                         np.full(k, -1.0), np.full(k, b)]))
             xl = 1.0 - a + k * b
             if 1.0 - xl > 1e-12:
-                rows.append((xl, 1.0, 1.0 + k * b - xl, -1.0, 1.0 - xl))
-    seg = np.array(rows)
+                rows.append([(xl, 1.0, 1.0 + k * b - xl, -1.0, 1.0 - xl)])
+    seg = np.concatenate(rows)
     seg[:, 4] /= seg[:, 4].sum()
     return SegmentPermuton(seg)
 

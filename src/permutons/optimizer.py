@@ -203,8 +203,6 @@ def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-
                                ("restarts", restarts, 0)):
         if _as_count(count, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {count}")
-    if isinstance(cons, (list, tuple)):
-        cons = ConstraintSet(tuple(cons))
     best = None
     rng = np.random.default_rng(seed)
     for attempt in range(restarts + 1):

@@ -107,14 +107,6 @@ class PatternSpec:
             object.__setattr__(self, "star", (k, ell))
 
     @classmethod
-    def explicit(cls, values) -> "PatternSpec":
-        return cls(values=tuple(values))
-
-    @classmethod
-    def star_class(cls, k: int, ell: int) -> "PatternSpec":
-        return cls(star=(k, ell))
-
-    @classmethod
     def parse(cls, text: str) -> "PatternSpec":
         """Parse CLI syntax: "12", "321" explicit; "*2", "**3" star classes."""
         text = text.strip()
@@ -123,10 +115,10 @@ class PatternSpec:
             rest = text[stars:]
             if not rest.isdigit():
                 raise ValueError(f"bad star pattern {text!r}; expected like '**3'")
-            return cls.star_class(stars + 1, int(rest))
+            return cls(star=(stars + 1, int(rest)))
         if not text.isdigit():
             raise ValueError(f"bad pattern {text!r}; expected digits like '132'")
-        return cls.explicit(int(ch) for ch in text)
+        return cls(values=tuple(int(ch) for ch in text))
 
     @property
     def k(self) -> int:

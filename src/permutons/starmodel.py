@@ -50,11 +50,6 @@ cancellation near |r| = 1e-3, where the series are exact to 1e-16):
 
 rho(r) is strictly decreasing in r (negative rates reward ascents), so the
 inverse r(rho) is computed by bisection.
-
-The Mahonian counts C_i of permutations of n by number of 1 2 patterns have
-generating function prod_{j=0}^{n-1} (1 + z + ... + z^j); the log-domain
-coefficient DP here evaluates it stably to n = 500 for the finite-n
-large-deviations checks.
 """
 
 from __future__ import annotations
@@ -221,70 +216,6 @@ def star12_grid(r: float, m: int) -> GridPermuton:
     w = np.diff(np.diff(G, axis=0), axis=1)
     w = np.where(np.abs(w) < 1e-300, 0.0, w)
     return GridPermuton(np.clip(w, 0.0, None))
-
-
-_MAHONIAN_MAX_N = 500
-
-
-def mahonian_log_gf(n: int) -> np.ndarray:
-    """log C_i, i = 0..C(n,2): permutations of n by number of 1 2 patterns.
-
-    Coefficient DP for prod_{j=0}^{n-1} (1 + z + ... + z^j) in the log
-    domain.  Every factor is palindromic, hence so is every partial
-    product: each stage computes only its left half, as trailing windows of
-    length j + 1 that read no previous entry past it, and mirrors it, so
-    the table is exactly palindromic.  The window sums run in the linear
-    domain on blocks of j + 1 coefficients scaled by their minima
-    (``_window_lse``), so a block sum is at most (j + 1) e^range, range the
-    block's spread in log.  That stays below the largest double for
-    n <= 500: the Mahonian numbers are log-concave and palindromic, so no
-    block spreads more than the first, log C_j <= log binom(2j - 1, j)
-    < j log 4, and 499 log 4 + log 500 < 698 < 709.78.  Larger n raise
-    ValueError.
-    """
-    n = _as_count(n, "n")
-    if not 1 <= n <= _MAHONIAN_MAX_N:
-        raise ValueError(f"n must lie in [1, {_MAHONIAN_MAX_N}]")
-    lc = np.zeros(1)
-    for j in range(1, n):
-        size = lc.size + j
-        half = _window_lse(lc[:-(-size // 2)], j)
-        lc = np.concatenate([half, half[:size // 2][::-1]])
-    return lc
-
-
-def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
-    """out[i] = logsumexp(a[max(0, i-j) .. i]) for finite a.
-
-    Blocks of L = j + 1 entries are scaled by their minima lo_b, so the
-    small entries lose nothing to cancellation.  The window ending at
-    column c of block b is the strict suffix of block b - 1 after c plus the
-    prefix of block b up to c, both plain cumulative sums of exp(a - lo),
-    added on the common scale max(lo_{b-1}, lo_b).  Sound while L e^range
-    stays below the largest double for every block, range its spread in
-    log (mahonian_log_gf)."""
-    L = j + 1
-    nb = -(-a.size // L)
-    e = np.empty(nb * L)
-    e[:a.size] = a
-    e[a.size:] = a[-1]
-    e = e.reshape(nb, L)
-    lo = e.min(axis=1)
-    e -= lo[:, None]
-    np.exp(e, out=e)
-    out = np.cumsum(e, axis=1)
-    shift = lo
-    if nb > 1:
-        # strict suffix sums of the previous block: columns c+1 .. L-1
-        suff = np.zeros((nb - 1, L))
-        np.cumsum(e[:-1, :0:-1], axis=1, out=suff[:, -2::-1])
-        shift = np.concatenate([lo[:1], np.maximum(lo[:-1], lo[1:])])
-        suff *= np.exp(lo[:-1] - shift[1:])[:, None]
-        out[1:] *= np.exp(lo[1:] - shift[1:])[:, None]
-        out[1:] += suff
-    np.log(out, out=out)
-    out += shift[:, None]
-    return out.ravel()[:a.size]
 
 
 def _exponent_pairs(pairs) -> list[tuple[int, int]]:

@@ -16,7 +16,9 @@ writing outputs and the manifest.
 """
 
 import json
+import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -27,7 +29,7 @@ import pytest
 
 from permutons import core, starmodel
 from permutons.core import ConvergenceError
-from permutons.cli import _THREAD_VARS, build_parser, main
+from permutons.cli import _THREAD_VARS, _json_render, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -150,6 +152,38 @@ def test_argument_errors_exit_2(tmp_path, capsys):
     bad.write_text("\n".join(rows) + "\n")
     assert main(["entropy", "--in", str(bad), "--manifest", str(man)]) == 2
     assert not man.exists()
+    # a rate whose rho rounds to 1, a malformed term or constraint, and an
+    # insertion file with neither header are each named in one line
+    odd = tmp_path / "odd.csv"
+    odd.write_text("n=2\n")
+    capsys.readouterr()
+    for argv, message in (
+            (["star12", "--r=-1e17"], "rate r = -1e+17 gives rho = 1, not inside (0, 1)"),
+            (["solve-star", "--terms", "1", "--targets", "0.3"], "bad exponent pair '1'"),
+            (["optimize", "--constraints", "12"], "bad constraint '12'"),
+            (["insertion", "--in", str(odd)], "input header must be 'm=<int>' (grid) or")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_json_render_refuses_what_json_cannot_hold():
+    assert _json_render({"b": [1, 2.5, None], "a": "x"}) == (
+        '{\n  "a": "x",\n  "b": [1, 2.5, null]\n}')
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite value in JSON output"):
+            _json_render([bad])
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        _json_render({"a": object()})
+
+
+def test_python_dash_m_runs_main_in_process(monkeypatch, capsys):
+    # the same launcher as python -m permutons, in this process
+    monkeypatch.setattr(sys, "argv", ["permutons", "dimple"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("permutons", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("s = 0.6527")
 
 
 def test_threads_pins_the_blas_variables(monkeypatch, capsys):

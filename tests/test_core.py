@@ -59,6 +59,8 @@ def test_uniform_grid_cells():
     g = uniform_grid(5)
     assert g.m == 5
     assert np.array_equal(g.w, np.full((5, 5), 1.0 / 25.0))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        uniform_grid(0)
 
 
 def test_grid_validation_rejects_bad_marginals():
@@ -70,6 +72,11 @@ def test_grid_validation_rejects_bad_marginals():
         GridPermuton(w)
     with pytest.raises(ValueError):
         GridPermuton(np.full((2, 3), 1.0 / 6.0))
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        GridPermuton(np.zeros((0, 0)))
+    # every marginal 9e-13 off, within the tolerance; the total 1.8e-12 off
+    with pytest.raises(ValueError, match="total mass must equal 1"):
+        GridPermuton(np.full((2, 2), 0.25 + 4.5e-13))
     w = np.full((2, 2), 0.25)
     w[0, 0], w[1, 1] = -0.25, 0.75  # marginals fine, sign is not
     with pytest.raises(ValueError):
@@ -97,6 +104,9 @@ def test_permutation_validation():
         Permutation(np.array([1, 1, 3]))
     with pytest.raises(ValueError):
         Permutation(np.array([0, 1, 2]))
+    for bad in ([], [[1, 2], [2, 1]]):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            Permutation(bad)
 
 
 def test_permutons_copy_their_input():
@@ -359,8 +369,9 @@ def test_coarsen_sums_blocks():
     assert np.abs(cdf(c) - cdf(g)[::2, ::2]).max() <= 1e-13
     with pytest.raises(ValueError):
         coarsen(g, 3)
-    with pytest.raises(ValueError):
-        rect_distance(g, c)
+    for distance in (rect_distance, cdf_linf_distance):
+        with pytest.raises(ValueError, match="resolution mismatch: 8 vs 4"):
+            distance(g, c)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -394,6 +405,10 @@ def test_rebalance_marginals_projects():
         with pytest.raises(ValueError, match="non-finite"):
             rebalance_marginals(w)
         assert time.perf_counter() - t0 < 0.1
+    # a zero row or column cannot be scaled back
+    for w, which in (([[0.0, 0.0], [1.0, 1.0]], "row"), ([[1.0, 0.0], [1.0, 0.0]], "column")):
+        with pytest.raises(ValueError, match=f"zero {which} mass"):
+            rebalance_marginals(w)
     # so is a shape that is not a nonempty square: (2, 3) once ran every
     # sweep and then reported a stall, and the others failed inside numpy
     for shape in ((2, 3), (0, 0), (4,), (2, 2, 2)):
@@ -437,6 +452,19 @@ def test_segment_permuton_marginals():
         seg[0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             SegmentPermuton(seg)
+    # each further check, on one edit of g's rows (x0, x1, y0, slope, mass)
+    for r, c, value, match in ((0, 1, 0.0, "x0 < x1"), (1, 3, 0.5, "slopes must be"),
+                               (0, 4, -0.4, "nonnegative"), (0, 4, 0.8, "sum to 1"),
+                               (0, 2, 1.5, "inside the unit square")):
+        seg = g.segments.copy()
+        seg[r, c] = value
+        with pytest.raises(ValueError, match=match):
+            SegmentPermuton(seg)
+    with pytest.raises(ValueError, match=r"shape \(k, 5\)"):
+        SegmentPermuton(g.segments[:, :4])
+    # a descent over [0, 1/2] on top of the full diagonal: x-density 3/2 there
+    with pytest.raises(ValueError, match="x-marginal deviates from uniform by 5.000e-01"):
+        SegmentPermuton([(0.0, 0.5, 1.0, -1.0, 0.5), (0.0, 1.0, 0.0, 1.0, 0.5)])
 
 
 def test_sample_points_ranges_and_law():
@@ -505,6 +533,8 @@ def test_sample_points_rejects_bad_counts():
         assert x.dtype == y.dtype == np.float64
         x, y = sample_points(src, np.int64(5), rng)
         assert x.shape == (5,)
+    with pytest.raises(TypeError, match="unsupported permuton source ndarray"):
+        sample_points(uniform_grid(3).w, 5, rng)
 
 
 # cell masses from 1e-12 to 1 (mantissa times a power of ten), and empty cells
@@ -692,6 +722,8 @@ def test_grid_csv_parses_every_entry_as_float_does(entries):
 
 
 @pytest.mark.parametrize("text, match", [
+    ("", "must start with a 'm=<int>' header line"),
+    ("n=2\n0.5,0\n0,0.5\n", "must start with a 'm=<int>' header line"),
     ("m=2\n0.5,0\n0,0.5,0\n", "data row 2 has 3 entries, expected m=2"),
     ("m=2\n0.5\n0,0.5\n", "data row 1 has 1 entries, expected m=2"),
     ("m=0\n", "m=0; m must be >= 1"),

@@ -40,11 +40,11 @@ from permutons.entropy import HeatFlowSpec, heat_flow, riemann_refinement
 from permutons.insertion import insertion_from_permuton, reconstruct, star12_family
 from permutons.optimizer import (ConstraintSet, maximize_entropy, pde_residual_12,
                                  pde_residual_123)
-from permutons.oracle import ldp_estimate
+from permutons.oracle import ldp_estimate, mahonian_log_gf
 from permutons.patterns import PatternSpec, _hessian_operator, densities, density_mc
 from permutons.regions import dimple, gamma_ab_sweep, region_123_321, region_star23_boundary
-from permutons.starmodel import (StarModel, evaluate_star, mahonian_log_gf, solve_star,
-                                 star12_cdf, star12_density, star12_entropy, star12_grid,
+from permutons.starmodel import (StarModel, evaluate_star, solve_star, star12_cdf,
+                                 star12_density, star12_entropy, star12_grid,
                                  star12_r_from_rho, star12_rho)
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"

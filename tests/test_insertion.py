@@ -270,6 +270,20 @@ def test_family_csv_rejects_malformed_input():
             InsertionFamily(fam.mt, fam.my, tuple(cols))
     with pytest.raises(ValueError, match="non-finite"):
         family_from_csv("\n".join([lines[0], "1,1,nan", *lines[2:]]) + "\n")
+    # a triple outside the layout, or one given twice where another is missing
+    with pytest.raises(ValueError, match=r"triple \(5, 1\) outside the family layout"):
+        family_from_csv("\n".join([lines[0], "5,1,1", *lines[2:]]) + "\n")
+    with pytest.raises(ValueError, match="missing triples"):
+        family_from_csv("\n".join([lines[0], lines[1], lines[1], *lines[3:]]) + "\n")
+    # the layout and each column's mass: column 0 has 8 cells, column 3 14
+    cols = list(flat_family(4, 16).cols)
+    for args, match in (((0, 16, ()), "resolutions must be >= 1"),
+                        ((4, 16, cols[:3]), "expected 4 columns, got 3"),
+                        ((4, 16, cols[3:] + cols[1:]), r"column 0 must have 8 cells, got \(14,\)"),
+                        ((4, 16, [2 * cols[0]] + cols[1:]),
+                         "column 0 mass 2.0000000000 deviates from 1 beyond 1e-08")):
+        with pytest.raises(ValueError, match=match):
+            InsertionFamily(*args)
 
 
 @pytest.mark.parametrize("head,key,value", [

@@ -21,8 +21,10 @@ from permutons import (
     ConvergenceError,
     GridPermuton,
     OptimizerResult,
+    Permutation,
     density_grid_exact,
     entropy_grid,
+    grid_from_permutation,
     maximize_entropy,
     PatternSpec,
     pde_residual_12,
@@ -114,6 +116,32 @@ def test_accepted_merit_values_nondecrease():
             res.entropy - last["penalty"] * np.abs(res.residuals).sum(), abs=1e-12)
         # Newton steps drive the worst constraint residual down overall
         assert last["max_residual"] <= res.history[0]["max_residual"]
+
+
+def test_backtracking_halves_the_step_until_the_merit_rises(monkeypatch):
+    # 321 = 0.55 at m = 16 halves the step on three of its eight steps
+    res = maximize_entropy(ConstraintSet.of(("321", 0.55)), 16)
+    assert res.converged
+    trials = [e["trial_points"] for e in res.history]
+    assert trials == [1, 1, 3, 3, 2, 1, 1, 1]
+    for e in res.history:
+        assert e["step_length"] <= 0.5 ** (e["trial_points"] - 1)
+        assert e["merit_gain"] >= -1e-15
+    # with no halving allowed below 0.9, the third step's first halving ends
+    # the run, which keeps the iterate of the second step
+    import permutons.optimizer as opt
+
+    monkeypatch.setattr(opt, "_MIN_STEP", 0.9)
+    res = maximize_entropy(ConstraintSet.of(("321", 0.55)), 16)
+    assert not res.converged and len(res.history) == res.iterations == 3
+    assert res.stop == res.history[-1]["stop"] == (
+        "line search failed: no step increases the merit")
+    last = res.history[-1]
+    assert last["step_length"] == last["merit_gain"] == 0.0
+    assert last["trial_points"] == 1
+    assert [e["trial_points"] for e in res.history[:2]] == [1, 1]
+    two = maximize_entropy(ConstraintSet.of(("321", 0.55)), 16, max_outer=2)
+    assert np.array_equal(res.grid.w, two.grid.w)
 
 
 def test_seeded_runs_are_reproducible():
@@ -455,6 +483,12 @@ def test_pde123_negative_control():
 def test_pde_residual_input_validation():
     with pytest.raises(ValueError):
         pde_residual_12(uniform_grid(4))
+    # the identity grid has empty interior cells, so log g and log K_xy fail
+    ident = grid_from_permutation(Permutation(np.arange(1, 9)))
+    with pytest.raises(ValueError, match="interior cells must be strictly positive"):
+        pde_residual_12(ident)
+    with pytest.raises(ValueError, match="K_xy must be positive on interior corners"):
+        pde_residual_123(ident)
 
 
 def _tangent_basis(m: int) -> np.ndarray:

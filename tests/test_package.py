@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves():
     missing = [name for name in permutons.__all__ if not hasattr(permutons, name)]
     assert missing == []
+    assert set(permutons.__all__) <= set(dir(permutons))
 
 
 def _fresh(code: str) -> str:

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutons import (
+    DensityEstimate,
     GridPermuton,
     Permutation,
     PatternSpec,
@@ -170,6 +171,8 @@ def test_pattern_count_hand_values():
     assert pattern_count(ident, PatternSpec.parse("123")) == 56
     # length-4 pattern in its own word: exactly the trivial occurrence
     assert pattern_count(p2413, PatternSpec.parse("2413")) == 1
+    with pytest.raises(ValueError, match="pattern length 3 exceeds permutation length 2"):
+        pattern_count(Permutation(np.array([2, 1])), PatternSpec.parse("123"))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -185,10 +188,10 @@ def test_pattern_count_brute_force(values):
             sub = vals[list(combo)]
             found.append(tuple(np.argsort(np.argsort(sub)) + 1))
         for tau in itertools.permutations(range(1, k + 1)):
-            spec = PatternSpec.explicit(tau)
+            spec = PatternSpec(values=tau)
             assert pattern_count(pi, spec) == found.count(tau)
         for ell in range(1, k + 1):
-            spec = PatternSpec.star_class(k, ell)
+            spec = PatternSpec(star=(k, ell))
             ref = sum(found.count(tau) for tau in spec.members())
             assert pattern_count(pi, spec) == ref
 
@@ -224,7 +227,7 @@ def test_density_approximates_count_proportion(n):
 # every k <= 3 spec: explicit patterns and star classes, including the
 # pairs that share quadrant terms (123, 213 and **3 all use E[A B])
 SPECS = ([PatternSpec.parse(t) for t in ["1", "12", "21"] + ALL3]
-         + [PatternSpec.star_class(k, ell) for k in (1, 2, 3) for ell in range(1, k + 1)])
+         + [PatternSpec(star=(k, ell)) for k in (1, 2, 3) for ell in range(1, k + 1)])
 
 positive_grids = st.tuples(st.integers(2, 12), st.integers(0, 2**32 - 1),
                            st.sampled_from([1.0, 3.0]))
@@ -259,14 +262,14 @@ def test_reversal_symmetry(params):
         image = GridPermuton(w.copy())
         for lab in ["12", "21"] + ALL3:
             tau = PatternSpec.parse(lab)
-            assert density_grid_exact(image, PatternSpec.explicit(act(tau.values))) \
+            assert density_grid_exact(image, PatternSpec(values=tuple(act(tau.values)))) \
                 == pytest.approx(density_grid_exact(g, tau), abs=tol)
     # complement sends the star class (k, ell) to (k, k + 1 - ell)
     image = GridPermuton(g.w[:, ::-1].copy())
     for k in (2, 3):
         for ell in range(1, k + 1):
-            assert density_grid_exact(image, PatternSpec.star_class(k, k + 1 - ell)) \
-                == pytest.approx(density_grid_exact(g, PatternSpec.star_class(k, ell)),
+            assert density_grid_exact(image, PatternSpec(star=(k, k + 1 - ell))) \
+                == pytest.approx(density_grid_exact(g, PatternSpec(star=(k, ell))),
                                  abs=tol)
 
 
@@ -415,7 +418,7 @@ def test_monotone_matcher_equals_ranks(k, reverse, levels, shape, seed):
     # leading axes broadcast as in the trial loop (equal shapes) and in
     # _subset_counts (index rows against (trials, rows) values)
     from permutons.patterns import _matches
-    tau = PatternSpec.explicit(range(k, 0, -1) if reverse else range(1, k + 1))
+    tau = PatternSpec(values=tuple(range(k, 0, -1) if reverse else range(1, k + 1)))
     rng = np.random.default_rng(seed)
 
     def coords(*lead):
@@ -452,6 +455,12 @@ def test_mc_density_rejects_bad_counts():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="at least one trial"):
             density_mc(g, tau, bad, 1)
+    with pytest.raises(ValueError, match="n_points must be at least the pattern length"):
+        density_mc(g, PatternSpec.parse("123"), 10, 1, n_points=2)
+    for value, stderr, match in ((1.5, 0.0, "density must lie in"),
+                                 (0.5, -1.0, "stderr must be nonnegative")):
+        with pytest.raises(ValueError, match=match):
+            DensityEstimate(value, stderr, 10)
     est = density_mc(g, tau, np.int64(10), 1, n_points=np.int64(4))
     assert est.trials == 10 and type(est.trials) is int
 
@@ -465,15 +474,18 @@ def test_pattern_spec_parsing_and_errors():
             PatternSpec.parse(bad)
     for empty in ([], ()):
         with pytest.raises(ValueError, match="at least one symbol"):
-            PatternSpec.explicit(empty)
+            PatternSpec(values=empty)
+    for kwargs in ({}, {"values": (1, 2), "star": (2, 2)}):
+        with pytest.raises(ValueError, match="exactly one of explicit values or star class"):
+            PatternSpec(**kwargs)
     with pytest.raises(ValueError):
         density_grid_exact(uniform_grid(3), PatternSpec.parse("2413"))
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: PatternSpec.explicit([1.5, 2]), "pattern symbol must be an integer"),
+    (lambda: PatternSpec(values=(1.5, 2)), "pattern symbol must be an integer"),
     (lambda: PatternSpec(values=(True, 2)), "pattern symbol must be an integer"),
-    (lambda: PatternSpec.star_class(3.7, 3), "k must be an integer"),
+    (lambda: PatternSpec(star=(3.7, 3)), "k must be an integer"),
     (lambda: PatternSpec(star=(3, 2.5)), "ell must be an integer"),
 ])
 def test_pattern_spec_refuses_non_integer_symbols_by_name(call, match):

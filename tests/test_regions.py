@@ -15,10 +15,13 @@ give rho_123 = a^3 at b = 0 and (1 - b/a)(1 - 2b/a) for k steps.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permutons import (
     PatternSpec,
@@ -76,6 +79,13 @@ def test_region_input_validation():
         region_123_321(np.array([-0.2, 0.5]))
     with pytest.raises(ValueError):
         region_star23_boundary(np.array([0.0, 1.2]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        region_123_321([0.5, 0.5])
+    with pytest.raises(ValueError, match=r"points of shape \(n, 2\)"):
+        RegionCurve("c", [0.0, 1.0], [[0.0, 0.0]])
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"b fractions must lie in \[0, 1\]"):
+            gamma_ab_sweep([0.5], [0.0, bad], 10, 1)
 
 
 def test_region_curves_refuse_non_finite_values():
@@ -112,6 +122,51 @@ def test_staircase_validation():
         gamma_ab(1.1, 0.0)
     with pytest.raises(ValueError):
         gamma_ab(0.4, 0.3)  # b may not exceed a/2
+    # 10^300 steps were once built one by one, and 1 - a rounding to 1 made
+    # a segment with x0 = x1; both are refused by name, at once
+    for a, b, match in ((1.0, 1e-300, "a=1.0, b=1e-300 needs k=1e[+]300 steps, more than 4096"),
+                        (1.0, 1e-320, "needs k=inf steps"),
+                        (1.0, 1.0 / 4097, "needs k=4097 steps"),
+                        (1e-17, 0.0, "a=1e-17 is too small: 1 - a rounds to 1"),
+                        (1e-17, 5e-18, r"1 - a rounds to 1 \(b=5e-18\)")):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            gamma_ab(a, b)
+        assert time.perf_counter() - t0 < 0.1
+    assert gamma_ab(1.0, 1.0 / 4096).segments.shape == (4096, 5)
+
+
+def staircase_rows(a, b):
+    """The segments of gamma_ab as a Python loop built them, step by step."""
+    rows = []
+    if a < 1.0:
+        rows.append((0.0, 1.0 - a, 1.0, -1.0, 1.0 - a))
+    if a > 0.0:
+        if b == 0.0:
+            rows.append((1.0 - a, 1.0, 0.0, 1.0, a))
+        else:
+            k = int(np.floor(a / b + 1e-12))
+            for j in range(1, k + 1):
+                xl = 1.0 - a + (j - 1) * b
+                rows.append((xl, 1.0 - a + j * b, (2 * j - 1) * b + 1.0 - a - xl, -1.0, b))
+            xl = 1.0 - a + k * b
+            if 1.0 - xl > 1e-12:
+                rows.append((xl, 1.0, 1.0 + k * b - xl, -1.0, 1.0 - xl))
+    seg = np.array(rows)
+    seg[:, 4] /= seg[:, 4].sum()
+    return seg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.02, 1.0))
+@example(0.6, 1.0 / 3.0)
+@example(1.0, 0.1)
+def test_staircase_rows_are_the_loop_rows(a, frac):
+    # the steps are built in one array operation, in the loop's order of
+    # operations, so every bit is the loop's
+    b = frac * a / 2
+    assert gamma_ab(a, b).segments.tobytes() == staircase_rows(a, b).tobytes()
 
 
 def test_sweep_rejects_fewer_than_one_trial():

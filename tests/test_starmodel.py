@@ -100,6 +100,9 @@ def test_r_from_rho_round_trip():
     (lambda: star12_grid(1.0, 0), "m must be >= 1"),
     (lambda: star12_grid(0.0, -2), "m must be >= 1"),
     (lambda: star12_grid(1.0, 4.0), "integer"),
+    # these need |r| = 4e4, past the 1e4 the bracket may grow to
+    (lambda: star12_r_from_rho(0.99995), "rho = 0.99995 too extreme to bracket"),
+    (lambda: star12_r_from_rho(5e-5), "rho = 5e-05 too extreme to bracket"),
 ])
 def test_closed_forms_reject_bad_inputs(call, match):
     # each once returned NaN or failed inside math or numpy instead
@@ -222,7 +225,7 @@ def test_mahonian_input_validation():
 def test_window_lse_matches_direct_logsumexp(size, j, seed):
     from scipy.special import logsumexp
 
-    from permutons.starmodel import _window_lse
+    from permutons.oracle import _window_lse
     rng = np.random.default_rng(seed)
     # log-concave: non-increasing steps, a rise then a fall, spread <= 240
     steps = np.sort(rng.uniform(-2.0, 2.0, size))[::-1]
@@ -383,6 +386,10 @@ def test_solver_input_validation():
     # a fractional exponent was once truncated, solving the (1, 0) model
     ({"exponents": [(1.5, 0)]}, "exponent r must be an integer"),
     ({"exponents": [(1, 0.5)]}, "exponent s must be an integer"),
+    # no term, or one term twice (the check StarModel shares)
+    ({"exponents": []}, "model needs at least one term"),
+    ({"exponents": [(1, 0), (2, 0), (1, 0)], "targets": [0.3, 0.2, 0.3]},
+     "exponent pairs must be distinct"),
 ])
 def test_solver_rejects_bad_settings_by_name(kwargs, match):
     args = {"exponents": [(1, 0)], "targets": [0.3], **kwargs}
@@ -394,6 +401,17 @@ def test_model_rejects_non_finite_coefficients():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             StarModel(((1, 0, bad),))
+
+
+def test_newton_stall_raises_convergence_error(monkeypatch):
+    # with no step halving allowed, the first line search has no trial
+    # that lowers the residual
+    monkeypatch.setattr(starmodel, "_MAX_HALVINGS", 0)
+    with pytest.raises(ConvergenceError, match=r"Newton stalled at residual 1\.[0-9]{3}e-01 "
+                                               "after 0 iterations") as err:
+        solve_star([(1, 0)], [0.3])
+    assert err.value.residual == pytest.approx(0.1, abs=1e-12)
+    assert np.array_equal(err.value.alpha, [0.0])
 
 
 def test_model_refuses_a_fractional_exponent_by_name():
