@@ -36,13 +36,19 @@ operator (``_hessian_operator``): a prefix scan, a 4 x 4 mix and a suffix
 scan per product.  Gradients and Hessian-vector products power the
 constrained entropy optimizer.
 
-``densities`` evaluates a list of patterns on one grid: it builds the
-channels once and evaluates each distinct quadrant term E[P Q], with its
-gradient, once for all the patterns that use it.  Every density is a fixed
-sum of such terms (the table ``_TERMS``), added in the same order
-whatever else is in the list, so a batched value or gradient is bitwise the
-one computed for its pattern alone.  The CLI sidecar gets its eight
-densities from one ``densities`` call.
+``densities`` evaluates a list of patterns on one grid: it evaluates each
+distinct quadrant term E[P Q], with its gradient, once for all the
+patterns that use it.  Every density is a fixed sum of such terms (the
+table ``_TERMS``), added in the same order whatever else is in the list,
+so a batched value or gradient is bitwise the one computed for its
+pattern alone.  The CLI sidecar gets its eight densities from one
+``densities`` call.  The quadrant fields are built one block of rows at a
+time (``_field_blocks``, about 2^14 cells a block), and only those the
+terms name; a value's working memory is one m x m column prefix, one
+m x m array q per distinct term and one block of fields, whatever m is
+(under 15 MB for any single pattern at m = 512).  A gradient or a Hessian
+operator needs its fields over the whole grid, and builds them as one
+block.
 
 Monte Carlo densities draw k points per trial, 200,000 trials at a time,
 in one loop (``_trial_hits``) that also serves the staircase sweep in
@@ -242,44 +248,68 @@ def _pairs_agree(x: np.ndarray, y: np.ndarray, flip: bool) -> np.ndarray:
     return ok
 
 
-def _prefix(w: np.ndarray) -> np.ndarray:
-    """The linear map L: w -> (strict 2-D prefix, strict same-row prefix,
-    strict same-column prefix, w), shape (4, m, m).  It is the quadrant
-    field A, and the w-linear part of every other quadrant field."""
-    m = w.shape[0]
-    L = np.zeros((4, m, m))
-    col = np.cumsum(w, axis=0)
-    L[0, 1:, 1:] = np.cumsum(col, axis=1)[:-1, :-1]  # sum over i' < i, j' < j
-    L[1, :, 1:] = np.cumsum(w, axis=1)[:, :-1]        # same row i, j' < j
-    L[2, 1:, :] = col[:-1, :]                         # same column j, i' < i
-    L[3] = w
+def _prefix(w: np.ndarray, col: np.ndarray, rows: slice, L: np.ndarray) -> np.ndarray:
+    """Fill L (4, h, m) with rows ``rows`` of the linear map L: w -> (strict
+    2-D prefix, strict same-row prefix, strict same-column prefix, w), from
+    the column prefix col = cumsum(w, axis=0), and return it.  L(w) is the
+    quadrant field A, and the w-linear part of every other quadrant field."""
+    top = max(rows.start, 1)            # row 0 has nothing above it
+    above = col[top - 1:rows.stop - 1]  # the column prefix one row up
+    L[:3] = 0.0
+    L[0, top - rows.start:, 1:] = np.cumsum(above, axis=1)[:, :-1]  # i' < i, j' < j
+    L[1, :, 1:] = np.cumsum(w[rows], axis=1)[:, :-1]                # same row i, j' < j
+    L[2, top - rows.start:, :] = above                               # same column j, i' < i
+    L[3] = w[rows]
     return L
 
 
-def _channels(w: np.ndarray):
-    """Quadrant coefficient fields (4, m, m) for A, B, C, D (see module doc)."""
+# Cells per block of quadrant fields: grids up to m = 128 are one block, and
+# a larger grid's block (4 x 2^14 floats per field, 512 KB) stays small next
+# to the m x m arrays the terms keep.
+_BLOCK_CELLS = 1 << 14
+
+
+def _field_blocks(w: np.ndarray, names, height: int):
+    """Per block of ``height`` rows (the last may be shorter): the block's
+    row slice and, by name, the quadrant coefficient fields (4, h, m) among
+    A, B, C, D, U (see module doc) that ``names`` asks for.  A is always
+    built, as the others derive from it.  One column prefix serves every
+    block, the block's fields share one allocation, and each field value
+    is the one a whole-grid build gives."""
     m = w.shape[0]
-    xi = (np.arange(m) / m)[:, None]    # cell corners, a column and a row
-    yj = (np.arange(m) / m)[None, :]
+    col = np.cumsum(w, axis=0)
+    corner = np.arange(m) / m
+    yj = corner[None, :]
     inv = 1.0 / m
-    A = _prefix(w)
-    g00, gu, gv = A[0], A[1], A[2]
-    B, C, D = np.empty((3, 4, m, m))
-    np.add(1.0 - xi - yj, g00, out=B[0])
-    np.subtract(gu, inv, out=B[1])
-    np.subtract(gv, inv, out=B[2])
-    B[3] = w
-    np.subtract(xi, g00, out=C[0])
-    np.subtract(inv, gu, out=C[1])
-    np.negative(gv, out=C[2])
-    np.negative(w, out=C[3])
-    np.subtract(yj, g00, out=D[0])
-    np.negative(gu, out=D[1])
-    np.subtract(inv, gv, out=D[2])
-    D[3] = C[3]
-    U = np.zeros((4, m, m))
-    U[0] = 1.0
-    return A, B, C, D, U
+    order = ["A"] + [name for name in "BCDU" if name in names]
+    for lo in range(0, m, height):
+        rows = slice(lo, min(lo + height, m))
+        xi = corner[rows, None]
+        fields = dict(zip(order, np.empty((len(order), 4, rows.stop - lo, m))))
+        g00, gu, gv, wb = _prefix(w, col, rows, fields["A"])
+        if "B" in fields:
+            B = fields["B"]
+            np.add(1.0 - xi - yj, g00, out=B[0])
+            np.subtract(gu, inv, out=B[1])
+            np.subtract(gv, inv, out=B[2])
+            B[3] = wb
+        if "C" in fields:
+            C = fields["C"]
+            np.subtract(xi, g00, out=C[0])
+            np.subtract(inv, gu, out=C[1])
+            np.negative(gv, out=C[2])
+            np.negative(wb, out=C[3])
+        if "D" in fields:
+            D = fields["D"]
+            np.subtract(yj, g00, out=D[0])
+            np.negative(gu, out=D[1])
+            np.subtract(inv, gv, out=D[2])
+            np.negative(wb, out=D[3])
+        if "U" in fields:
+            U = fields["U"]
+            U[0] = 1.0
+            U[1:] = 0.0
+        yield rows, fields
 
 
 def _adjoint(T, out):
@@ -295,9 +325,12 @@ def _adjoint(T, out):
 def _term_field(P, Q, sP: float, sQ: float):
     """R = sP BIL Q + sQ BIL^T P (4, m, m): d q / d w along the prefix
     channels, q = sum_ab BIL_ab P_a Q_b the field of the term E[P Q]."""
-    TQ = np.einsum("cb,bij->cij", _BIL, Q)
+    R = np.einsum("cb,bij->cij", _BIL, Q)
     TP = np.einsum("ac,aij->cij", _BIL, P)
-    return sP * TQ + sQ * TP
+    R *= sP
+    TP *= sQ
+    R += TP
+    return R
 
 
 # Each explicit k <= 3 pattern density as a sum of coeff * E[P Q] terms over
@@ -328,12 +361,12 @@ def densities(g: GridPermuton, taus, *, grad: bool = False):
 
     Returns ``(values, grads)``: values[i] is the density of taus[i] and,
     with ``grad=True``, grads[i] its analytic gradient d rho / d w (m x m);
-    grads is None otherwise.  The quadrant channels are built once, and each
-    distinct quadrant term E[P Q] (with its gradient) is evaluated once and
-    shared by every pattern that uses it: rho_123 and rho_**3 share E[A B],
-    and the eight patterns of length 2 and 3 need 8 terms, not 12.  Each
-    pattern adds its own terms in a fixed order, so its value and gradient
-    are bitwise those of a call for that pattern alone.
+    grads is None otherwise.  Only the quadrant fields the terms name are
+    built, once, and each distinct quadrant term E[P Q] (with its gradient)
+    is evaluated once and shared by every pattern that uses it: rho_123 and
+    rho_**3 share E[A B], and the eight patterns of length 2 and 3 need 8
+    terms, not 12.  Each pattern adds its own terms in a fixed order, so its
+    value and gradient are bitwise those of a call for that pattern alone.
     """
     return _densities(g.w, tuple(taus), grad)
 
@@ -347,28 +380,49 @@ def _densities(w: np.ndarray, taus: tuple, grad: bool):
     # a k = 1 pattern keeps density 1 and gradient 0
     values = np.ones(len(taus))
     grads = np.zeros((len(taus),) + w.shape) if grad else None
-    fields = None
-    terms = {}
+    keys = dict.fromkeys((pn, qn) for tau in taus for _, pn, qn in _terms(tau))
+    terms = _term_values(w, keys, grad)
     for i, tau in enumerate(taus):
         if tau.k == 1:
             continue
-        if fields is None:
-            fields = dict(zip("ABCDU", _channels(w)))
         value = 0.0
         for coeff, pn, qn in _terms(tau):
-            term = terms.get((pn, qn))
-            if term is None:
-                # E[PQ] = sum w q, with gradient q + L^T (w R)
-                P, Q = fields[pn], fields[qn]
-                q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
-                dJ = (_adjoint(w[None] * _term_field(P, Q, _QSIGN[pn], _QSIGN[qn]), q)
-                      if grad else None)
-                term = terms[pn, qn] = (float(np.sum(w * q)), dJ)
+            term = terms[pn, qn]
             value += coeff * term[0]
             if grad:
                 grads[i] += coeff * term[1]
         values[i] = value
     return values, grads
+
+
+def _term_values(w: np.ndarray, keys, grad: bool) -> dict:
+    """(pn, qn) -> (E[P Q], its gradient or None) for each key.
+
+    E[P Q] = sum w q, with gradient q + L^T (w R).  Without ``grad`` the
+    fields come in row blocks (``_field_blocks``) and each term's q (m x m)
+    is written block by block, so the sum reads the array a whole-grid
+    build gives.  With ``grad`` they come as one block, since the adjoint
+    scans w R over the whole grid, and each term is done before the next.
+    """
+    if not keys:
+        return {}
+    m = w.shape[0]
+    names = {name for key in keys for name in key}
+    if grad:
+        (_, fields), = _field_blocks(w, names, m)
+        terms = {}
+        for pn, qn in keys:
+            P, Q = fields[pn], fields[qn]
+            q = np.einsum("ab,aij,bij->ij", _BIL, P, Q)
+            wR = _term_field(P, Q, _QSIGN[pn], _QSIGN[qn])
+            wR *= w
+            terms[pn, qn] = (float(np.sum(w * q)), _adjoint(wR, q))
+        return terms
+    qs = dict(zip(keys, np.empty((len(keys),) + w.shape)))
+    for rows, fields in _field_blocks(w, names, max(1, _BLOCK_CELLS // m)):
+        for (pn, qn), q in qs.items():
+            np.einsum("ab,aij,bij->ij", _BIL, fields[pn], fields[qn], out=q[rows])
+    return {key: (float(np.sum(w * q)), None) for key, q in qs.items()}
 
 
 def _hessian_operator(w: np.ndarray, taus: tuple, weights):
@@ -390,7 +444,9 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
     for weight, tau in zip(weights, taus):
         for coeff, pn, qn in _terms(tau):
             coeffs[pn, qn] = coeffs.get((pn, qn), 0.0) + weight * coeff
-    fields = dict(zip("ABCDU", _channels(w)))
+    m = w.shape[0]
+    # one block: Rbar spans the whole grid
+    (_, fields), = _field_blocks(w, {name for key in coeffs for name in key}, m)
     rbar = np.zeros((4,) + w.shape)
     sigma = 0.0
     for (pn, qn), c in coeffs.items():
@@ -400,7 +456,7 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
     mix = (2.0 * sigma) * w
 
     def apply(v: np.ndarray) -> np.ndarray:
-        lv = _prefix(v)
+        lv = _prefix(v, np.cumsum(v, axis=0), slice(0, m), np.empty((4, m, m)))
         direct = np.einsum("cij,cij->ij", rbar, lv)
         return _adjoint(v * rbar + mix * np.einsum("ab,bij->aij", _BIL, lv), direct)
 

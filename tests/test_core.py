@@ -14,6 +14,7 @@ back, also after a pickle or deep-copy round trip.
 import copy
 import pickle
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -465,6 +466,18 @@ def test_segment_permuton_marginals():
     # a descent over [0, 1/2] on top of the full diagonal: x-density 3/2 there
     with pytest.raises(ValueError, match="x-marginal deviates from uniform by 5.000e-01"):
         SegmentPermuton([(0.0, 0.5, 1.0, -1.0, 0.5), (0.0, 1.0, 0.0, 1.0, 0.5)])
+
+
+def test_segment_marginal_check_memory_is_linear():
+    # the check sweeps the sorted segment ends: at k = 4,096 segments a
+    # breakpoints x segments cover matrix would trace about 145 MB
+    tracemalloc.start()
+    try:
+        assert gamma_ab(1.0, 1.0 / 4096).segments.shape == (4096, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_sample_points_ranges_and_law():

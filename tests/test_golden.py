@@ -10,9 +10,11 @@ units in the last place (ulp), so a refactor that claims "every bit
 unchanged" is checked here, and a change that moves bits on purpose shows
 which results moved and by how much.
 
-The file also records the Python and numpy versions it was made with:
-another numpy build or CPU may move low bits (pairwise summation, SIMD
-paths), and a failure message quotes both environments.
+The file also records the Python and numpy versions it was made with, the
+SIMD dispatch targets numpy enabled on the CPU and the BLAS numpy was
+built with: another numpy build or CPU may move low bits (pairwise
+summation, SIMD paths), and a failure message says which of these differ
+from the recorded ones.
 
 Regenerate the file (after a change that moves bits on purpose; the
 change then states which entries moved, by how much, and why) with
@@ -254,7 +256,24 @@ def _encode(value):
 
 
 def _environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The Python and numpy versions, the SIMD dispatch targets numpy enabled
+    on this CPU, and the BLAS it was built with: the things that can move
+    low bits without a change to the package."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "simd": config["SIMD Extensions"]["found"],
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def _environment_note(recorded: dict) -> str:
+    """Which parts of the environment differ from the recorded one."""
+    running = _environment()
+    moved = [key for key in running if recorded.get(key) != running[key]]
+    if not moved:
+        return f"the environment is the recorded one, {running}"
+    return (f"the environment differs in {', '.join(moved)}: recorded {recorded}, "
+            f"running {running}")
 
 
 def compute() -> dict:
@@ -310,8 +329,8 @@ def test_golden_outputs_unchanged():
     report += [f"{name}: missing from the catalogue" for name in want if name not in got]
     report += [f"{name}: not in {GOLDEN.name}" for name in got if name not in want]
     assert not report, (
-        f"{len(report)} golden entries moved (recorded with {golden['environment']}, "
-        f"running {_environment()}):\n" + "\n".join(report))
+        f"{len(report)} golden entries moved; {_environment_note(golden['environment'])}:\n"
+        + "\n".join(report))
 
 
 if __name__ == "__main__":

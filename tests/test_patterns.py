@@ -18,6 +18,7 @@ it has three occurrences of 1 2; the word 4 3 1 2 contains 3 2 1 twice, as
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from permutons import (
     star12_grid,
     uniform_grid,
 )
+from permutons import patterns as pat
 
 ALL3 = ["123", "132", "213", "231", "312", "321"]
 
@@ -313,6 +315,74 @@ def test_batched_sidecar_densities_at_m256():
         assert value == density_grid_exact(g, tau)
     assert values[:2].sum() == pytest.approx(1.0, abs=1e-12)
     assert values[2:].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+LABELS = ("1", "12", "21", "123", "132", "213", "231", "312", "321",
+          "*2", "**1", "**2", "**3")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 130])
+def test_blocked_kernel_is_bitwise_the_one_block_kernel(monkeypatch, m):
+    # block heights 1, one that does not divide m (m >= 3), and >= m: every
+    # value and gradient keeps its bits, alone and in one batched call
+    g = random_grid(m, np.random.default_rng(m))
+    taus = [PatternSpec.parse(lbl) for lbl in LABELS]
+
+    def evaluate():
+        batch = densities(g, taus, grad=True)
+        alone = [density_grid_exact_with_grad(g, tau) for tau in taus]
+        return ([_bits(batch[0]), _bits(batch[1]), _bits(densities(g, taus)[0])]
+                + [_bits(v) for v, _ in alone] + [_bits(d) for _, d in alone]
+                + [_bits(density_grid_exact(g, tau)) for tau in taus])
+
+    monkeypatch.setattr(pat, "_BLOCK_CELLS", m * m)
+    want = evaluate()
+    for height in (1, m // 2 + 1, 2 * m):
+        monkeypatch.setattr(pat, "_BLOCK_CELLS", height * m)
+        for a, b in zip(want, evaluate(), strict=True):
+            assert np.array_equal(a, b), height
+
+
+def test_blocked_kernel_keeps_hessian_products(monkeypatch):
+    m = 16
+    w = random_grid(m, np.random.default_rng(5)).w
+    taus = tuple(PatternSpec.parse(lbl) for lbl in LABELS)
+    weights = np.random.default_rng(6).standard_normal(len(taus))
+    v = np.random.default_rng(7).standard_normal((m, m))
+    products = []
+    for height in (1, 5, m):
+        monkeypatch.setattr(pat, "_BLOCK_CELLS", height * m)
+        products.append(_bits(pat._hessian_operator(w, taus, weights)(v)))
+    assert all(np.array_equal(products[0], p) for p in products[1:])
+
+
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_density_memory_at_m512():
+    # one column prefix, one m x m array per term and one block of fields;
+    # all five fields built over the whole grid traced 44 MB at this size
+    g = star12_grid(1.5, 512)
+    for lbl in LABELS[1:]:
+        peak = _traced_peak(lambda: density_grid_exact(g, PatternSpec.parse(lbl)))
+        assert peak <= 20 * 2 ** 20, f"{lbl}: traced peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_sidecar_densities_memory_at_m256():
+    g = star12_grid(1.5, 256)
+    taus = [PatternSpec.parse(t) for t in ["12", "21"] + ALL3]
+    peak = _traced_peak(lambda: densities(g, taus))
+    assert peak <= 11 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_batched_densities_reject_long_patterns():
