@@ -146,6 +146,18 @@ def catalogue():
         for lbl, trials, seed in (("12", 20000, 10), ("321", 20000, 11), ("132", 20000, 12)):
             est = density_mc(src, PatternSpec.parse(lbl), trials, seed)
             yield f"density_mc/{src_name}/{lbl}", [est.value, est.stderr, est.trials]
+    # estimates whose draws span several 2^16-point lookup blocks and more
+    # than one 200,000-trial chunk, on both lookup paths of grids and of
+    # segments (64^2 and 17 categories go through the guide, 9 and 6 are
+    # counted directly)
+    grid64 = GridPermuton(_seeded_grid(64))
+    for src_name, src, lbl, trials, seed in (
+            ("grid64", grid64, "***2", 400_001, 13), ("grid64", grid64, "123", 400_001, 14),
+            ("grid3", GridPermuton(_seeded_grid(3)), "123", 250_000, 15),
+            ("gamma_ab", gamma_ab(0.5, 0.1), "123", 250_000, 16),
+            ("segments17", gamma_ab(0.79, 0.05), "123", 250_000, 17)):
+        est = density_mc(src, PatternSpec.parse(lbl), trials, seed)
+        yield f"density_mc/{src_name}/{lbl}/trials={trials}", [est.value, est.stderr, est.trials]
     yield "gamma_ab_sweep", gamma_ab_sweep([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], 2000, 7)
 
     # the star models
