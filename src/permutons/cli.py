@@ -386,12 +386,12 @@ def _cmd_sample(args, scalars) -> int:
 
 
 def _cmd_ldp(args, scalars) -> int:
-    from .oracle import ldp_estimate
+    from .oracle import _ldp_estimates
     from .starmodel import star12_entropy, star12_r_from_rho
 
     ns = [int(v) for v in args.n.split(",")]
     s_rho = star12_entropy(star12_r_from_rho(args.rho))
-    estimates = [ldp_estimate(n, args.rho, args.eps) for n in ns]
+    estimates = _ldp_estimates(ns, args.rho, args.eps)
     result = {"rho": args.rho, "eps": args.eps, "n": ns, "estimates": estimates,
               "s_rho": s_rho}
     scalars.update(result)

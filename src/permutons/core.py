@@ -46,10 +46,13 @@ points still short after a few steps take the binary search.  A
 ``_Sampler`` holds that table for one source.  Each grid or segment
 permuton builds its own on its first draw and keeps it, so every later
 ``sample_points``, ``sample_permutation`` or ``patterns.density_mc`` call
-on that permuton draws from the same table.  The table takes 16 bytes per
-category when the count of cells or segments is a power of two and less
-than 24 otherwise (4 MB for a 512 x 512 grid), for as long as the permuton
-lives.
+on that permuton draws from the same table.  A draw of n points looks up
+their cells ``_BLOCK`` = 2^16 points at a time, so besides the n uniforms
+and the cell indices it holds only one block's lookup temporaries, and it
+draws x into the array of the cell uniforms once they are looked up.  The
+table takes 12 bytes per category when the count of cells or segments is
+a power of two and less than 16 otherwise (3 MB for a 512 x 512 grid),
+for as long as the permuton lives.
 
 Every value type of the package holds its arrays one way (``_frozen``): the
 constructor copies its input, and the array it keeps is a read-only view of
@@ -84,6 +87,9 @@ _REBALANCE_MAX_ITER = 100_000
 # 600,000 up to about 20), and guide steps before the binary search
 _SMALL_TABLE = 16
 _STEPS = 3
+# points per lookup block of _Sampler.points, and (trial, subset) pairs per
+# block of patterns._subset_counts
+_BLOCK = 1 << 16
 # gamma_ab's largest staircase: the marginal check of a SegmentPermuton of
 # k segments takes O(k^2) memory, about 190 MB at this k
 _MAX_STEPS = 1 << 12
@@ -366,7 +372,11 @@ def _guide(weights: np.ndarray):
     ``cdf`` is the table ``choice(p=weights / weights.sum())`` builds.  The
     guide has B = 2^ceil(log2 N) buckets (N categories; B is a power of two,
     so u * B and b / B are exact), and lo[b] = #{i : cdf[i] <= b / B}.  N
-    must be below 2^31, so that every bucket index fits in int32.
+    must be below 2^31, so that every bucket index and every count fits in
+    int32.  lo is held as int32: each block of points reads the guide
+    again, and half the bytes keep more of a large table in cache (the
+    m = 512 draws of 150,000 and 200,000 points were 3 to 5% slower with
+    an intp guide in blocks than in one whole-chunk lookup).
     """
     if weights.size >= 1 << 31:
         raise ValueError(f"at most 2^31 - 1 categories, got {weights.size}")
@@ -374,7 +384,7 @@ def _guide(weights: np.ndarray):
     cdf /= cdf[-1]
     B = 1 << (cdf.size - 1).bit_length()
     # ceil(cdf[i] * B) is the first bucket b with cdf[i] <= b / B
-    lo = np.bincount(np.ceil(cdf * B).astype(np.intp), minlength=B + 1).cumsum()
+    lo = np.bincount(np.ceil(cdf * B).astype(np.intp), minlength=B + 1).cumsum().astype(np.int32)
     return cdf, lo, B
 
 
@@ -386,7 +396,8 @@ def _lookup(table, u: np.ndarray) -> np.ndarray:
     one goes through the guide: each point starts at lo[b] for its bucket
     b = floor(u * B), which is at most its index, and steps forward while
     its cdf value is <= u, all points once and the points still short up to
-    ``_STEPS`` more times; the few left take the binary search.
+    ``_STEPS`` more times; the few left take the binary search.  The
+    indices are intp from the count and int32 from the guide.
     """
     cdf, lo, B = table
     if cdf.size <= _SMALL_TABLE:
@@ -423,10 +434,19 @@ class _Sampler:
     the guide table of its masses and contiguous x0, x1 - x0, y0 and slope
     columns.  ``points`` picks cells or segments through ``_lookup``, by a
     direct count for at most ``_SMALL_TABLE`` of them (up to 16 segments, or
-    a grid with m <= 4), through the guide otherwise.  It builds x and y in
-    place on the uniform arrays it draws, with the arithmetic of
-    x = (ix + U) / m, or of x = x0 + (x1 - x0) U and y = y0 + slope (x - x0),
-    in that order.
+    a grid with m <= 4), through the guide otherwise, one block of
+    ``_BLOCK`` points at a time: into preallocated int32 cell coordinates
+    ix and iy, or into one intp index array per block of segments.  Each
+    point keeps its arithmetic and its place in the stream, so the points
+    are those of one whole-array lookup.  The x uniforms are drawn into the
+    array of the cell uniforms, which are dead once looked up.  For a grid
+    x and y are built in place on their uniforms, as x = (ix + U) / m; for
+    segments x is built in place on its uniforms and y in one preallocated
+    array that holds each block's x0 until y overwrites it, block by block,
+    as x = x0 + (x1 - x0) U and y = y0 + slope (x - x0), in that order.  So
+    a draw peaks at x, y and iy (20 bytes a point) for a grid and at x, y
+    and the indices (24) for segments, plus one block's lookup or gather
+    temporaries.
     """
 
     def __init__(self, source: GridPermuton | SegmentPermuton):
@@ -441,28 +461,43 @@ class _Sampler:
             self.dx = seg[:, 1] - seg[:, 0]
 
     def points(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        # all n cell uniforms come first in the stream, then the n x
+        # uniforms (and for a grid the n y uniforms); x is drawn into the
+        # array of the cell uniforms, which are dead once looked up
+        u = rng.random(n)
+        blocks = [slice(s, s + _BLOCK) for s in range(0, n, _BLOCK)]
         m = self.m
         if m is not None:
             # cells < m^2 < 2^31; int32 division vectorizes, int64 division
-            # does not (the int64 indices are freed before x and y are drawn).
-            # cell // m and a subtraction are faster than divmod but raised
-            # the peak RSS of a 10^6-trial estimate by 3 MB (heap placement)
-            ix, iy = np.divmod(_lookup(self.table, rng.random(n)).astype(np.int32), m)
-            x = rng.random(n)
+            # does not.  cell // m and a subtraction are faster than divmod
+            # but raised the peak RSS of a 10^6-trial estimate by 3 MB
+            # (heap placement)
+            ix, iy = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+            for b in blocks:
+                np.divmod(_lookup(self.table, u[b]).astype(np.int32, copy=False), m,
+                          out=(ix[b], iy[b]))
+            x = rng.random(out=u)
             x += ix
+            del ix
             x /= m
             y = rng.random(n)
             y += iy
             y /= m
             return x, y
-        idx = _lookup(self.table, rng.random(n))
-        x0 = self.x0.take(idx)
-        x = rng.random(n)
-        x *= self.dx.take(idx)
-        x += x0
-        y = np.subtract(x, x0, out=x0)
-        y *= self.slope.take(idx)
-        y += self.y0.take(idx)
+        # take converts int32 indices to intp on every call
+        idx = [_lookup(self.table, u[b]).astype(np.intp, copy=False) for b in blocks]
+        x = rng.random(out=u)
+        y = np.empty(n)
+        for b, i in zip(blocks, idx):
+            xb, yb = x[b], y[b]
+            # y's block holds x0 until y overwrites it; indices are in
+            # range, and "clip" keeps take from buffering its output
+            x0 = self.x0.take(i, out=yb, mode="clip")
+            xb *= self.dx.take(i)
+            xb += x0
+            np.subtract(xb, x0, out=yb)
+            yb *= self.slope.take(i)
+            yb += self.y0.take(i)
         return x, y
 
     def ranks(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,10 @@ hundredths of the limit.
 The Mahonian counts C_i of permutations of n by number of 1 2 patterns have
 generating function prod_{j=0}^{n-1} (1 + z + ... + z^j); the log-domain
 coefficient DP ``mahonian_log_gf`` evaluates it stably to n = 500, the
-largest n that ``ldp_estimate`` takes.
+largest n that ``ldp_estimate`` takes.  The table of n is the DP's state
+after stage n - 1, so one run to the largest n gives the table of every
+smaller n on the way (``_mahonian_tables``); the CLI's ``ldp`` estimates
+all its n from one run.
 """
 
 from __future__ import annotations
@@ -64,12 +67,21 @@ def mahonian_log_gf(n: int) -> np.ndarray:
     n = _as_count(n, "n")
     if not 1 <= n <= _MAHONIAN_MAX_N:
         raise ValueError(f"n must lie in [1, {_MAHONIAN_MAX_N}]")
-    lc = np.zeros(1)
-    for j in range(1, n):
-        size = lc.size + j
-        half = _window_lse(lc[:-(-size // 2)], j)
-        lc = np.concatenate([half, half[:size // 2][::-1]])
-    return lc
+    return next(_mahonian_tables([n]))[1]
+
+
+def _mahonian_tables(ns):
+    """(n, mahonian_log_gf(n)) for each distinct n of ns, in increasing
+    order, from one DP run to max(ns): the table after stage j is the one of
+    n = j + 1.  No stage writes into an earlier table."""
+    lc, done = np.zeros(1), 1
+    for n in sorted(set(ns)):
+        for j in range(done, n):
+            size = lc.size + j
+            half = _window_lse(lc[:-(-size // 2)], j)
+            lc = np.concatenate([half, half[:size // 2][::-1]])
+        done = n
+        yield n, lc
 
 
 def _window_lse(a: np.ndarray, j: int) -> np.ndarray:
@@ -128,19 +140,29 @@ def joint_star_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 def ldp_estimate(n: int, rho: float, eps: float) -> float:
     """(1/n) log of the n!-normalized count of permutations with 1 2 density
     within eps of rho (module doc)."""
-    n = _as_count(n, "n")
-    if not 2 <= n <= _MAHONIAN_MAX_N:
-        raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    lc = mahonian_log_gf(n)
-    total = n * (n - 1) // 2
-    idx = np.abs(np.arange(lc.size) / total - rho) < eps
-    if not np.any(idx):
-        raise ValueError(f"no pattern counts within {eps} of rho = {rho} at n = {n}")
-    return float((_logsumexp(lc[idx]) - math.lgamma(n + 1)) / n)
+    return _ldp_estimates([n], rho, eps)[0]
+
+
+def _ldp_estimates(ns, rho: float, eps: float) -> list[float]:
+    """``ldp_estimate`` at each n of ns, from one Mahonian DP to max(ns).
+    Every n is checked, in order, before the DP runs, so the first bad one
+    raises the ValueError a loop over ``ldp_estimate`` would raise."""
+    windows = []
+    for n in ns:
+        n = _as_count(n, "n")
+        if not 2 <= n <= _MAHONIAN_MAX_N:
+            raise ValueError(f"n must lie in [2, {_MAHONIAN_MAX_N}]")
+        if not 0.0 < rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+        total = n * (n - 1) // 2
+        idx = np.abs(np.arange(total + 1) / total - rho) < eps
+        if not np.any(idx):
+            raise ValueError(f"no pattern counts within {eps} of rho = {rho} at n = {n}")
+        windows.append((n, idx))
+    tables = dict(_mahonian_tables(n for n, _ in windows))
+    return [float((_logsumexp(tables[n][idx]) - math.lgamma(n + 1)) / n) for n, idx in windows]
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

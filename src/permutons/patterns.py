@@ -52,7 +52,10 @@ block.
 
 Monte Carlo densities draw k points per trial, 200,000 trials at a time,
 in one loop (``_trial_hits``) that also serves the staircase sweep in
-``regions``, and report the binomial standard error.  One matcher,
+``regions``, and report the binomial standard error.  Only one chunk's
+points are alive at a time: each is released before the next is drawn,
+and the sampler looks up their cells 2^16 points at a time (``core``), so
+a 10^6-trial estimate at k = 4 traces under 20 MB.  One matcher,
 ``_matches``, decides which rows of k points realize a pattern, for these
 trials and for ``pattern_count``.  The identity and reversal patterns (12,
 21, 123, 321, ...) take no ranks: a row realizes one exactly when each
@@ -73,8 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridPermuton, Permutation, SegmentPermuton, _as_count, _sampler_of,
-                   sample_points)
+from .core import (_BLOCK, GridPermuton, Permutation, SegmentPermuton, _as_count,
+                   _sampler_of, sample_points)
 
 # E[(basis_a)(basis_b)] over (u,v) uniform in the unit cell, basis (1,u,v,uv).
 _BIL = np.array([
@@ -184,7 +187,7 @@ def _subset_counts(values: np.ndarray, tau: PatternSpec) -> np.ndarray:
     trials, n = values.shape
     k = tau.k
     subsets = itertools.combinations(range(n), k)
-    block = max(1, (1 << 16) // trials)
+    block = max(1, _BLOCK // trials)
     counts = np.zeros(trials, dtype=np.intp)
     while (idx := np.fromiter(itertools.islice(subsets, block), (np.intp, k))).size:
         counts += np.count_nonzero(_matches(idx, values[:, idx], tau), axis=1)
@@ -465,7 +468,9 @@ def _hessian_operator(w: np.ndarray, taus: tuple, weights):
 
 def _trial_hits(source, taus, trials: int, rng: np.random.Generator) -> list[int]:
     """Per pattern of ``taus``, how many trials of k = max tau.k points from
-    ``source`` (drawn 200,000 at a time) have first tau.k points that realize it."""
+    ``source`` have first tau.k points that realize it.  Trials are drawn
+    200,000 at a time, and a chunk's points are released before the next
+    chunk is drawn, so one chunk of 200,000 k points is alive at a time."""
     k = max(tau.k for tau in taus)
     hits = [0] * len(taus)
     for done in range(0, trials, 200_000):
@@ -474,6 +479,7 @@ def _trial_hits(source, taus, trials: int, rng: np.random.Generator) -> list[int
         x, y = x.reshape(t, k), y.reshape(t, k)
         for i, tau in enumerate(taus):
             hits[i] += int(np.count_nonzero(_matches(x[:, :tau.k], y[:, :tau.k], tau)))
+        del x, y
     return hits
 
 
@@ -522,7 +528,7 @@ def density_mc(source: GridPermuton | SegmentPermuton, tau: PatternSpec,
     # of pattern_count, for about 2^16 (trial, subset) pairs at a time
     sampler = _sampler_of(source)
     total = math.comb(n_points, k)
-    chunk = max(1, (1 << 16) // total)
+    chunk = max(1, _BLOCK // total)
     vals = np.empty(trials)
     for done in range(0, trials, chunk):
         ranks = np.array([sampler.ranks(n_points, rng) for _ in range(min(chunk, trials - done))])

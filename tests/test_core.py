@@ -665,6 +665,24 @@ def test_sample_points_draws_what_choice_draws(weights, m, size, seed):
         assert r1.bit_generator.state == r2.bit_generator.state
 
 
+@pytest.mark.parametrize("source", ["grid64", "grid3", "segments17"])
+def test_sample_points_across_lookup_blocks_draws_what_choice_draws(source):
+    # three 2^16-point lookup blocks and a partial one, on the guide path of
+    # a grid (64^2 cells), the direct count of a grid (9 cells) and the
+    # guide path of segments (17)
+    from permutons.core import _BLOCK
+    rng = np.random.default_rng(64)
+    src = {"grid64": lambda: _mixed_grid(64, [0.5, 0.3, 0.2] * 30, rng),
+           "grid3": lambda: _mixed_grid(3, [0.7, 0.2, 0.1], rng),
+           "segments17": lambda: gamma_ab(0.79, 0.05)}[source]()
+    n = 3 * _BLOCK + 5
+    r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+    x, y = sample_points(src, n, r1)
+    xr, yr = _choice_points(src, n, r2)
+    assert np.array_equal(x, xr) and np.array_equal(y, yr)
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_grid_csv_round_trip(m, seed):

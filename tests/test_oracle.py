@@ -27,7 +27,7 @@ from permutons import (
     star12_entropy,
     star12_r_from_rho,
 )
-from permutons.oracle import _logsumexp
+from permutons.oracle import _ldp_estimates, _logsumexp, _mahonian_tables
 
 
 def s_of(rho):
@@ -148,6 +148,28 @@ def test_ldp_estimate_input_validation():
         with pytest.raises(ValueError, match=cause):
             ldp_estimate(n, rho, eps)
     assert ldp_estimate(np.int64(50), 0.4, 0.05) == ldp_estimate(50, 0.4, 0.05)
+
+
+def test_one_mahonian_run_gives_every_table_bit_for_bit():
+    # one DP to the largest n, collecting on the way, against one DP per n
+    ns = (500, 1, 2, 3, 5, 17, 50, 100, 200, 400, 17)
+    tables = list(_mahonian_tables(ns))
+    assert [n for n, _ in tables] == sorted(set(ns))
+    for n, lc in tables:
+        assert _same_bits(lc, mahonian_log_gf(n)), n
+
+
+def test_batched_ldp_estimates_are_the_single_ones():
+    ns = [200, 50, 100, 50, 400]
+    assert _ldp_estimates(ns, 0.4, 0.05) == [ldp_estimate(n, 0.4, 0.05) for n in ns]
+    # each n is checked in the given order, before any DP: the first bad n
+    # raises the error a loop over ldp_estimate raises
+    for ns, rho, eps, cause in (([50, 501, 2.5], 0.4, 0.05, r"n must lie in \[2, 500\]"),
+                                ([50, 2.5, 501], 0.4, 0.05, "integer"),
+                                ([100, 50], 0.123456789, 1e-9, "at n = 100"),
+                                ([100, 50], 0.4, 0.0, "eps")):
+        with pytest.raises(ValueError, match=cause):
+            _ldp_estimates(ns, rho, eps)
 
 
 def _same_bits(a, b):

@@ -385,6 +385,18 @@ def test_sidecar_densities_memory_at_m256():
     assert peak <= 11 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_monte_carlo_density_memory():
+    # one 200,000-trial chunk of 800,000 points alive at a time, its cells
+    # looked up 2^16 points at a time; two chunks and whole-chunk lookup
+    # temporaries traced 35 MB here.  The value is the one the whole-chunk
+    # sampler gave (270,013 hits)
+    g = star12_grid(1.3, 256)
+    est = []
+    peak = _traced_peak(lambda: est.append(density_mc(g, PatternSpec.parse("***2"), 10**6, 3)))
+    assert peak <= 20 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+    assert est[0].value == 0.270013
+
+
 def test_batched_densities_reject_long_patterns():
     g = uniform_grid(3)
     for long in ("2413", "***2"):
