@@ -122,6 +122,13 @@ def catalogue():
     yield "reconstruct/star12_family", [rr.grid.w, rr.correction]
     rr = reconstruct(insertion_from_permuton(star12_grid(2.0, 16)), 16)
     yield "reconstruct/extracted", [rr.grid.w, rr.correction]
+    # a 32-column family to 16 output cells at the default step, and a step
+    # of 1/300, whose nodes are not dyadic: there x + dx of one step and the
+    # x of the next can differ in the last bit
+    rr = reconstruct(insertion_from_permuton(star12_grid(1.5, 32)), 16)
+    yield "reconstruct/extracted/mt=32", [rr.grid.w, rr.correction]
+    rr = reconstruct(insertion_from_permuton(star12_grid(2.0, 16)), 16, step=1 / 300)
+    yield "reconstruct/extracted/step=1/300", [rr.grid.w, rr.correction]
 
     # seeded Monte Carlo on a grid and on a gamma_ab permuton
     for src_name, src in (("grid", GridPermuton(_seeded_grid(8))), ("gamma_ab", gamma_ab(0.5, 0.1))):
@@ -170,7 +177,8 @@ def catalogue():
     yield "star12/r_from_rho", [star12_r_from_rho(0.3), star12_r_from_rho(0.7)]
     sol = evaluate_star(StarModel(((1, 0, -1.5), (1, 1, 0.7))))
     yield "evaluate_star", [sol.alpha, sol.densities, sol.free_energy, sol.entropy, sol.hessian]
-    for exps, targets in (([(1, 0)], [0.3]), ([(1, 0), (2, 0)], [0.5, 0.3])):
+    for exps, targets in (([(1, 0)], [0.3]), ([(1, 0), (2, 0)], [0.5, 0.3]),
+                          ([(1, 0), (2, 0), (1, 1)], [0.53, 0.37, 0.34])):
         sol = solve_star(exps, targets)
         yield (f"solve_star/{exps}", [sol.alpha, sol.densities, sol.free_energy, sol.entropy,
                                       sol.hessian, sol.newton_iterations])

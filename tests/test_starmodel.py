@@ -268,6 +268,21 @@ def star23_model(alpha):
     return StarModel(((1, 0, alpha[0]), (2, 0, alpha[1])))
 
 
+@pytest.mark.parametrize("nquad", [96, 192, 768, 1536])
+def test_stacked_contraction_is_the_tensordot_bit_for_bit(nquad):
+    """alpha @ phi.transpose(1, 0, 2), one small gemv per x node, gives the
+    bits of np.tensordot(alpha, phi, axes=1), one gemv over all of phi, on
+    random tables of k = 1 to 4 terms.  Platform-bound like golden.json: both
+    sides run numpy's BLAS, and another BLAS or CPU may order the sums
+    differently (einsum already does on this one)."""
+    rng = np.random.default_rng(nquad)
+    for k in (1, 2, 3, 4):
+        phi = rng.standard_normal((k, nquad, nquad))
+        alpha = rng.uniform(-5.0, 5.0, size=k)
+        want = np.tensordot(alpha, phi, axes=1)
+        assert np.array_equal(alpha @ phi.transpose(1, 0, 2), want), k
+
+
 def test_free_energy_zero_and_uniform_gradient():
     ev = evaluate_star(star23_model((0.0, 0.0)))
     assert ev.free_energy == pytest.approx(0.0, abs=1e-14)
