@@ -24,7 +24,8 @@ Conventions
 -----------
 Global flags (given after the subcommand): --seed (default 0), --threads
 (at least 1; pins the BLAS/OpenMP thread-count env vars before numpy is
-imported, which is why this module imports the library lazily), --out, and
+imported, which is why this module imports the library lazily; once numpy
+has loaded in the process, it changes only the environment), --out, and
 --manifest (JSON run record: command, seed, thread setting, versions, wall
 time, and the key scalars of the run).
 
@@ -595,8 +596,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error
         return exc.code
-    # neither argparse nor the parser imports numpy, so the thread count is
-    # pinned before numpy first loads
+    # neither argparse nor the parser imports numpy, so in a fresh process the
+    # thread count is pinned before numpy first loads; a main() call in a
+    # process that has already imported numpy (a test, a notebook, the
+    # benchmark) only changes the environment, and the manifest still
+    # records the flag
     if args.threads is not None:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)

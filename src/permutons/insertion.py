@@ -46,6 +46,7 @@ correction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -205,24 +206,47 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         X[c, :qc.size] = np.interp(qc, vals, yk)
         X[c, qc.size:] = X[c, qc.size - 1]
 
+    xs = xm.tolist()
+    built = [math.nan, None]   # the stage time of the latest table, and the table
+
     def field(x: float, Y: np.ndarray) -> np.ndarray:
         # conditional CDF at time x, interpolated between column quantile
-        # functions with linear extrapolation beyond the end midpoints
-        j = min(max(int(np.searchsorted(xm, x)), 1), mt - 1)
-        lam = (x - xm[j - 1]) / (xm[j] - xm[j - 1])
-        Qb = (1.0 - lam) * Qs[j - 1] + lam * Qs[j]
-        Qb = np.maximum.accumulate(np.clip(Qb, 0.0, None))
-        return np.interp(Y, Qb, qg)
+        # functions with linear extrapolation beyond the end midpoints; the
+        # table is built once per stage time: k2 and k3 share one, and a
+        # step's x + dx is the next step's x whenever the two floats agree
+        if x != built[0]:
+            j = min(max(bisect.bisect_left(xs, x), 1), mt - 1)
+            lam = (x - xs[j - 1]) / (xs[j] - xs[j - 1])
+            Qb = (1.0 - lam) * Qs[j - 1] + lam * Qs[j]
+            np.clip(Qb, 0.0, None, out=Qb)
+            built[:] = x, np.maximum.accumulate(Qb, out=Qb)
+        return np.interp(Y, built[1], qg)
 
     def advance(rows: slice, x: float, dx: float) -> None:
-        # one RK4 step of the rows X[rows] from time x to x + dx
+        # one RK4 step of the rows X[rows] from time x to x + dx, in place,
+        # each sum and product in the order of the textbook formula
         Xa = X[rows]
+        half = dx / 2
         k1 = field(x, Xa)
-        k2 = field(x + dx / 2, Xa + dx / 2 * k1)
-        k3 = field(x + dx / 2, Xa + dx / 2 * k2)
-        k4 = field(x + dx, Xa + dx * k3)
-        Xa = Xa + dx / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        X[rows] = np.maximum.accumulate(np.clip(Xa, 0.0, 1.0), axis=1)
+        Y = np.multiply(k1, half)
+        Y += Xa
+        k2 = field(x + half, Y)
+        np.multiply(k2, half, out=Y)
+        Y += Xa
+        k3 = field(x + half, Y)
+        np.multiply(k3, dx, out=Y)
+        Y += Xa
+        k4 = field(x + dx, Y)
+        # Xa + dx/6 (k1 + 2 k2 + 2 k3 + k4)
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= dx / 6
+        k1 += Xa
+        np.clip(k1, 0.0, 1.0, out=k1)
+        np.maximum.accumulate(k1, axis=1, out=Xa)
 
     # nodes n h with h = 1/N, N = ceil(1/step): column c joins at the first
     # node at or after its midpoint, reached by one partial step unless the

@@ -278,6 +278,14 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     M(x) = <e^ptilde>, so F = int log M dx (the Stirling +1 and the log x
     terms cancel exactly in this form), grad_i = int <phi_i> dx, and
     hess_ij = int Cov(phi_i, phi_j) dx.
+
+    The tilt alpha . phi is a stack of one small BLAS product per x node, k
+    * nquad entries each, rather than one tensordot over all k * nquad^2:
+    the stack is the tensordot bit for bit, and OpenBLAS runs each of its
+    products on the calling thread.  The tensordot is one call that OpenBLAS
+    splits across its threads (for one term, numpy makes it an axpy, split
+    above 10,000 entries, so from 104 nodes on), and the woken workers then
+    spin on and slow what runs next.  einsum would move bits.
     """
     # x and u share one rule
     xg, xw = ug, uw = _gl01(nquad)
@@ -287,7 +295,7 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     for i, (r, s) in enumerate(exponents):
         phi[i] = (xg[:, None] ** (r + s)) * (ug[None, :] ** r) \
             * ((1.0 - ug[None, :]) ** s) / (math.factorial(r) * math.factorial(s))
-    pt = np.tensordot(alpha, phi, axes=1)
+    pt = alpha @ phi.transpose(1, 0, 2)
     pt_max = pt.max(axis=1, keepdims=True)
     ew = np.exp(pt - pt_max) * uw[None, :]
     M = ew.sum(axis=1)

@@ -270,11 +270,12 @@ def star23_model(alpha):
 
 @pytest.mark.parametrize("nquad", [96, 192, 768, 1536])
 def test_stacked_contraction_is_the_tensordot_bit_for_bit(nquad):
-    """alpha @ phi.transpose(1, 0, 2), one small gemv per x node, gives the
-    bits of np.tensordot(alpha, phi, axes=1), one gemv over all of phi, on
-    random tables of k = 1 to 4 terms.  Platform-bound like golden.json: both
-    sides run numpy's BLAS, and another BLAS or CPU may order the sums
-    differently (einsum already does on this one)."""
+    """alpha @ phi.transpose(1, 0, 2), the tilt of the star quadrature as one
+    small BLAS product per x node, gives the bits of np.tensordot(alpha, phi,
+    axes=1), one BLAS call over all of phi, on random tables of k = 1 to 4
+    terms.  Platform-bound like golden.json: both sides run numpy's BLAS, and
+    another BLAS or CPU may order the sums differently (einsum already does
+    on this one)."""
     rng = np.random.default_rng(nquad)
     for k in (1, 2, 3, 4):
         phi = rng.standard_normal((k, nquad, nquad))
