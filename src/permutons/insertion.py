@@ -207,20 +207,22 @@ def reconstruct(fam: InsertionFamily, m_out: int,
         X[c, qc.size:] = X[c, qc.size - 1]
 
     xs = xm.tolist()
-    built = [math.nan, None]   # the stage time of the latest table, and the table
+    table_x, Qb = math.nan, None
 
     def field(x: float, Y: np.ndarray) -> np.ndarray:
         # conditional CDF at time x, interpolated between column quantile
         # functions with linear extrapolation beyond the end midpoints; the
         # table is built once per stage time: k2 and k3 share one, and a
         # step's x + dx is the next step's x whenever the two floats agree
-        if x != built[0]:
+        nonlocal table_x, Qb
+        if x != table_x:
             j = min(max(bisect.bisect_left(xs, x), 1), mt - 1)
             lam = (x - xs[j - 1]) / (xs[j] - xs[j - 1])
             Qb = (1.0 - lam) * Qs[j - 1] + lam * Qs[j]
             np.clip(Qb, 0.0, None, out=Qb)
-            built[:] = x, np.maximum.accumulate(Qb, out=Qb)
-        return np.interp(Y, built[1], qg)
+            np.maximum.accumulate(Qb, out=Qb)
+            table_x = x
+        return np.interp(Y, Qb, qg)
 
     def advance(rows: slice, x: float, dx: float) -> None:
         # one RK4 step of the rows X[rows] from time x to x + dx, in place,

@@ -280,12 +280,12 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     hess_ij = int Cov(phi_i, phi_j) dx.
 
     The tilt alpha . phi is a stack of one small BLAS product per x node, k
-    * nquad entries each, rather than one tensordot over all k * nquad^2:
-    the stack is the tensordot bit for bit, and OpenBLAS runs each of its
-    products on the calling thread.  The tensordot is one call that OpenBLAS
-    splits across its threads (for one term, numpy makes it an axpy, split
-    above 10,000 entries, so from 104 nodes on), and the woken workers then
-    spin on and slow what runs next.  einsum would move bits.
+    * nquad entries each: that is the tensordot over all k * nquad^2 bit for
+    bit, and OpenBLAS runs each product on the calling thread, where it
+    splits the one tensordot call across its threads (for one term numpy
+    makes it an axpy, split above 10,000 entries, so from 104 nodes on) and
+    the woken workers spin on and slow what runs next.  einsum would move
+    bits.
     """
     # x and u share one rule
     xg, xw = ug, uw = _gl01(nquad)
