@@ -64,7 +64,6 @@ _EXPORTS = {
     "densities": "patterns",
     "density_mc": "patterns",
     # entropy
-    "HeatFlowSpec": "entropy",
     "entropy_grid": "entropy",
     "riemann_refinement": "entropy",
     "heat_flow": "entropy",
@@ -79,7 +78,6 @@ _EXPORTS = {
     "family_to_csv": "insertion",
     "family_from_csv": "insertion",
     # starmodel
-    "StarModel": "starmodel",
     "StarSolution": "starmodel",
     "star12_rho": "starmodel",
     "star12_entropy": "starmodel",

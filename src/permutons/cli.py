@@ -293,11 +293,11 @@ def _cmd_entropy(args, scalars) -> int:
 
 
 def _cmd_heatflow(args, scalars) -> int:
-    from .entropy import HeatFlowSpec, entropy_grid, heat_flow
+    from .entropy import entropy_grid, heat_flow
 
     g = _read_grid(args.inp)
     before = entropy_grid(g)
-    out = heat_flow(g, HeatFlowSpec(args.t, args.jmax, args.kmax))
+    out = heat_flow(g, args.t, args.jmax, args.kmax)
     after = entropy_grid(out)
     scalars.update({"t": args.t, "m": g.m, "entropy_before": before,
                     "entropy_after": after})
@@ -316,7 +316,7 @@ def _cmd_insertion(args, scalars) -> int:
     head = text.lstrip().split("\n", 1)[0]
     if head.startswith("mt="):
         fam = family_from_csv(text)
-        if not args.grid:
+        if args.grid is None:
             raise ValueError("reconstruction needs --grid <m_out>")
         rr = reconstruct(fam, args.grid, step=args.step)
         scalars.update({"mode": "reconstruct", "mt": fam.mt, "my": fam.my,
@@ -348,7 +348,8 @@ def _cmd_region(args, scalars) -> int:
     if args.model == "123-321":
         from .regions import region_123_321
 
-        curves = [region_123_321(t)[k] for k in ("F1", "F2", "C", "D", "E")]
+        region = region_123_321(t)
+        curves = [region[k] for k in ("F1", "F2", "C", "D", "E")]
     else:
         from .regions import region_star23_boundary
 

@@ -90,8 +90,9 @@ _STEPS = 3
 # points per lookup block of _Sampler.points, and (trial, subset) pairs per
 # block of patterns._subset_counts
 _BLOCK = 1 << 16
-# gamma_ab's largest staircase: the marginal check of a SegmentPermuton of
-# k segments takes O(k^2) memory, about 190 MB at this k
+# gamma_ab's largest staircase: it allocates k rows of segments, so the cap
+# stops a tiny b from asking for a table of a/b rows (the marginal check of
+# a SegmentPermuton is an O(k) sweep and needs no cap)
 _MAX_STEPS = 1 << 12
 
 
@@ -519,9 +520,12 @@ def _sampler_of(source: GridPermuton | SegmentPermuton) -> _Sampler:
 
 
 def sample_points(source: GridPermuton | SegmentPermuton, n: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  seed: int | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. points from the permuton: (x array, y array), unsorted.
 
+    ``seed`` goes through ``np.random.default_rng``, which returns a
+    Generator as it is, so an int seed s gives the points of
+    ``default_rng(s)`` and a Generator's stream continues where it stands.
     Each point's cell or segment is drawn from rng.random(n) through the
     guide table: the same uniforms and the same indices as
     ``rng.choice(N, n, p=...)``, so a seeded generator gives the points it
@@ -533,7 +537,7 @@ def sample_points(source: GridPermuton | SegmentPermuton, n: int,
     n = _as_count(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _sampler_of(source).points(n, rng)
+    return _sampler_of(source).points(n, np.random.default_rng(seed))
 
 
 def sample_permutation(source: GridPermuton | SegmentPermuton, n: int,

@@ -32,32 +32,10 @@ restores the marginals if they moved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridPermuton, _as_count, coarsen, rebalance_marginals
-
-
-@dataclass(frozen=True)
-class HeatFlowSpec:
-    """Diffusion time and cosine-mode cutoffs (defaults keep all m modes)."""
-
-    t: float
-    j_max: int | None = None
-    k_max: int | None = None
-
-    def __post_init__(self):
-        # NaN and inf pass a plain t < 0 test and make exp(-t * 0) NaN
-        if not 0 <= self.t < math.inf:
-            raise ValueError("diffusion time must be finite and nonnegative")
-        for name in ("j_max", "k_max"):
-            c = getattr(self, name)
-            if c is not None:
-                c = _as_count(c, name)
-                if c < 1:
-                    raise ValueError("mode cutoffs must be >= 1")
-                object.__setattr__(self, name, c)
 
 
 def entropy_grid(g: GridPermuton) -> float:
@@ -87,17 +65,34 @@ def riemann_refinement(g: GridPermuton, levels) -> list[tuple[int, float]]:
     return out
 
 
-def heat_flow(g: GridPermuton, spec: HeatFlowSpec) -> GridPermuton:
-    """Damp cosine modes by exp(-(j^2+k^2) t), clip, and rebalance."""
+def heat_flow(g: GridPermuton, t: float, j_max: int | None = None,
+              k_max: int | None = None) -> GridPermuton:
+    """Damp cosine modes by exp(-(j^2+k^2) t), clip, and rebalance.
+
+    Modes j >= j_max and k >= k_max are dropped; the default cutoffs keep
+    all m modes.  t must be finite and nonnegative, and a cutoff an integer
+    (numpy integers included, bools not) >= 1; anything else raises
+    ValueError.
+    """
+    # NaN and inf pass a plain t < 0 test and make exp(-t * 0) NaN
+    if not 0 <= t < math.inf:
+        raise ValueError("diffusion time must be finite and nonnegative")
+    cuts = []
+    for name, c in (("j_max", j_max), ("k_max", k_max)):
+        if c is not None:
+            c = _as_count(c, name)
+            if c < 1:
+                raise ValueError("mode cutoffs must be >= 1")
+        cuts.append(c)
     m = g.m
     f = np.fft.fft(np.fft.rfft(np.pad(g.density(), (0, m), mode="symmetric")), axis=0)
     j = np.minimum(np.arange(2 * m), np.arange(2 * m, 0, -1))[:, None]
     k = np.arange(m + 1)
     # a huge t overflows t (j^2 + k^2) to inf, and exp(-inf) = 0 is the damping
     with np.errstate(over="ignore"):
-        damp = np.exp(-spec.t * (j ** 2 + k ** 2))
+        damp = np.exp(-t * (j ** 2 + k ** 2))
     # bin m of either axis is cosine mode m, which is zero: every cutoff drops it
-    damp = damp * (j < min(spec.j_max or m, m)) * (k < min(spec.k_max or m, m))
+    damp = damp * (j < min(cuts[0] or m, m)) * (k < min(cuts[1] or m, m))
     # rfft2 and irfft2, but only the m rows kept go through the last inverse
     w2 = np.fft.irfft(np.fft.ifft(f * damp, axis=0)[:m])[:, :m] / (m * m)
     return GridPermuton(rebalance_marginals(np.where(w2 < 0, 0.0, w2)))

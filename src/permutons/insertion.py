@@ -343,7 +343,8 @@ def family_to_csv(fam: InsertionFamily) -> str:
 
 
 def family_from_csv(text: str) -> InsertionFamily:
-    """Parse the ``family_to_csv`` format."""
+    """Parse the ``family_to_csv`` format; each (x index, y index) pair of
+    the layout must appear exactly once."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mt="):
         raise ValueError("family CSV must start with 'mt=<int>,my=<int>'")
@@ -368,12 +369,18 @@ def family_from_csv(text: str) -> InsertionFamily:
         raise short
     cols = [np.zeros(n) for n in sizes]
     seen = [np.zeros(n, dtype=bool) for n in sizes]
+    repeat = None
     for cs, ks, vs in rows:
         c, k = int(cs) - 1, int(ks) - 1
         if not (0 <= c < mt and 0 <= k < cols[c].size):
             raise ValueError(f"triple ({cs}, {ks}) outside the family layout")
+        if seen[c][k] and repeat is None:
+            repeat = (c + 1, k + 1)
         cols[c][k] = float(vs)
         seen[c][k] = True
     if not all(s.all() for s in seen):
         raise ValueError("family CSV is missing triples")
+    # a later line would otherwise overwrite the earlier one
+    if repeat is not None:
+        raise ValueError(f"triple {repeat} appears more than once")
     return InsertionFamily(mt, my, tuple(cols))

@@ -232,27 +232,10 @@ def _exponent_pairs(pairs) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class StarModel:
-    """Exponent pairs and coefficients of ptilde."""
-
-    terms: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        exps = _exponent_pairs([(r, s) for r, s, _ in self.terms])
-        alpha = [float(a) for _, _, a in self.terms]
-        if not all(math.isfinite(a) for a in alpha):
-            raise ValueError(f"coefficients must be finite, got {alpha}")
-        object.__setattr__(self, "terms", tuple((r, s, a) for (r, s), a in zip(exps, alpha)))
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.array([a for _, _, a in self.terms], float)
-
-
-@dataclass(frozen=True)
 class StarSolution:
     """Coefficients alpha with densities, free energy, Legendre entropy and
-    Hessian: solved by solve_star, or given to evaluate_star (0 iterations)."""
+    Hessian: solved by solve_star, or given to evaluate_star (0 iterations).
+    ``evaluate_star(sol.terms, sol.alpha)`` evaluates a solution as it is."""
 
     terms: tuple[tuple[int, int], ...]
     alpha: np.ndarray
@@ -341,12 +324,20 @@ def _solution(exps, alpha, parts, newton_iterations: int) -> StarSolution:
                         F - float(alpha @ grad), hess, newton_iterations)
 
 
-def evaluate_star(model: StarModel) -> StarSolution:
-    """Free energy, densities, entropy and Hessian at the model's alpha, on
-    _QUAD nodes doubled while F disagrees at twice the count (_fe_checked,
-    which raises ConvergenceError past _MAX_QUAD); newton_iterations is 0."""
-    exps = [(r, s) for r, s, _ in model.terms]
-    alpha = model.alpha
+def evaluate_star(exponents, alpha) -> StarSolution:
+    """Free energy, densities, entropy and Hessian at coefficients ``alpha``,
+    one per exponent pair (r_i, s_i) as ``solve_star`` takes them, on _QUAD
+    nodes doubled while F disagrees at twice the count (_fe_checked, which
+    raises ConvergenceError past _MAX_QUAD); newton_iterations is 0.
+    ``alpha`` is copied, so the solution shares no array with the caller;
+    a missing, extra or non-finite coefficient raises ValueError.
+    """
+    exps = _exponent_pairs(exponents)
+    alpha = np.array(alpha, dtype=np.float64)
+    if alpha.shape != (len(exps),):
+        raise ValueError("one coefficient per exponent pair")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"coefficients must be finite, got {alpha.tolist()}")
     nquad = _QUAD
     parts, resolved = _fe_parts(exps, alpha, nquad), False
     while not resolved:

@@ -30,10 +30,8 @@ from permutons import (
     ConstraintSet,
     ConvergenceError,
     GridPermuton,
-    HeatFlowSpec,
     PatternSpec,
     Permutation,
-    StarModel,
     density_grid_exact,
     density_mc,
     dimple,
@@ -75,10 +73,6 @@ def _verdict(num, budget, ok, detail, t0):
         "PASS" if ok else "FAIL", num, detail, elapsed)
     print(line)
     assert ok, line
-
-
-def _star23_model(alpha):
-    return StarModel(((1, 0, alpha[0]), (2, 0, alpha[1])))
 
 
 def _random_grid(m, rng):
@@ -149,19 +143,19 @@ def test_criterion_5_star_solver_identity_checks():
     rng = np.random.default_rng(505)
     spd_ok = True
     for _ in range(100):
-        hess = evaluate_star(_star23_model(rng.uniform(-6.0, 6.0, 2))).hessian
+        hess = evaluate_star(STAR23, rng.uniform(-6.0, 6.0, 2)).hessian
         spd_ok = (spd_ok and np.abs(hess - hess.T).max() <= 1e-12
                   and np.linalg.eigvalsh(hess).min() > 0.0)
     grad_worst = 0.0
     for _ in range(4):
         al = rng.uniform(-4.0, 4.0, size=2)
-        grad = evaluate_star(_star23_model(al)).densities / (2.0, 6.0)
+        grad = evaluate_star(STAR23, al).densities / (2.0, 6.0)
         for i in range(2):
             hi, lo = al.copy(), al.copy()
             hi[i] += 1e-6
             lo[i] -= 1e-6
-            fd = (evaluate_star(_star23_model(hi)).free_energy
-                  - evaluate_star(_star23_model(lo)).free_energy) / 2e-6
+            fd = (evaluate_star(STAR23, hi).free_energy
+                  - evaluate_star(STAR23, lo).free_energy) / 2e-6
             grad_worst = max(grad_worst, abs(grad[i] - fd))
     _verdict(5, 30.0, zero_gap <= 1e-8 and spd_ok and grad_worst <= 1e-6,
              "uniform targets give |alpha|, |entropy| <= %.1e (tol 1e-8); "
@@ -277,7 +271,7 @@ def test_criterion_9_structural_invariants():
         grid_from_permutation(Permutation(rng.permutation(17) + 1)),
         star12_grid(-1.5, 64),
         maximize_entropy(ConstraintSet.of(("12", 0.35)), 16).grid,
-        heat_flow(_random_grid(16, rng), HeatFlowSpec(0.05)),
+        heat_flow(_random_grid(16, rng), 0.05),
         reconstruct(star12_family(1.0, 32, 32), 16).grid,
     ]
     marg_worst = max(marg_err(g) for g in built)
@@ -300,7 +294,7 @@ def test_criterion_9_structural_invariants():
     flow_src = _random_grid(20, rng)
     ents, flow_marg = [], 0.0
     for t in (0.0, 0.01, 0.05, 0.2, 1.0):
-        out = heat_flow(flow_src, HeatFlowSpec(t))
+        out = heat_flow(flow_src, t)
         flow_marg = max(flow_marg, marg_err(out))
         ents.append(entropy_grid(out))
     flow_ok = flow_marg <= 1e-12 and all(

@@ -495,6 +495,11 @@ def test_insertion_extract_then_reconstruct(tmp_path, capsys):
     assert load(rec).splitlines()[0] == "m=16"
     # reconstruction without a target resolution is a usage error
     assert main(["insertion", "--in", str(fam)]) == 2
+    assert "reconstruction needs --grid <m_out>" in capsys.readouterr().err
+    # and --grid 0 is a bad resolution, named by reconstruct
+    assert main(["insertion", "--in", str(fam), "--grid", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "m_out must be >= 1" in err and "needs --grid" not in err
 
 
 def test_region_csv(tmp_path):

@@ -550,6 +550,15 @@ def test_sample_points_rejects_bad_counts():
         sample_points(uniform_grid(3).w, 5, rng)
 
 
+def test_sample_points_takes_an_int_seed():
+    # an int seed is the Generator default_rng makes of it, bit for bit
+    for src in (random_grid(5, np.random.default_rng(2)), gamma_ab(0.7, 0.2)):
+        for n in (1, 257):
+            x, y = sample_points(src, n, 7)
+            want_x, want_y = sample_points(src, n, np.random.default_rng(7))
+            assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+
+
 # cell masses from 1e-12 to 1 (mantissa times a power of ten), and empty cells
 _masses = st.one_of(
     st.just(0.0),

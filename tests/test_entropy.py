@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from permutons import (
     GridPermuton,
-    HeatFlowSpec,
     Permutation,
     coarsen,
     entropy_grid,
@@ -107,7 +106,7 @@ def test_riemann_refinement_validates_levels():
 def test_heat_flow_preserves_marginals_exactly():
     rng = np.random.default_rng(8)
     g = random_grid(32, rng)
-    out = heat_flow(g, HeatFlowSpec(0.05))
+    out = heat_flow(g, 0.05)
     assert np.abs(out.w.sum(axis=0) - 1.0 / 32.0).max() <= 1e-12
     assert np.abs(out.w.sum(axis=1) - 1.0 / 32.0).max() <= 1e-12
 
@@ -117,7 +116,7 @@ def test_heat_flow_entropy_nondecreasing():
     g = random_grid(16, rng)
     h = entropy_grid(g)
     for t in (0.01, 0.05, 0.2, 1.0):
-        h2 = entropy_grid(heat_flow(g, HeatFlowSpec(t)))
+        h2 = entropy_grid(heat_flow(g, t))
         assert h2 >= h - 1e-12
         h = h2
 
@@ -125,15 +124,15 @@ def test_heat_flow_entropy_nondecreasing():
 def test_heat_flow_semigroup():
     rng = np.random.default_rng(12)
     g = random_grid(16, rng)
-    one = heat_flow(g, HeatFlowSpec(0.3))
-    two = heat_flow(heat_flow(g, HeatFlowSpec(0.1)), HeatFlowSpec(0.2))
+    one = heat_flow(g, 0.3)
+    two = heat_flow(heat_flow(g, 0.1), 0.2)
     assert np.abs(one.w - two.w).max() <= 1e-8
 
 
 def test_heat_flow_long_time_is_uniform():
     rng = np.random.default_rng(14)
     g = random_grid(8, rng)
-    out = heat_flow(g, HeatFlowSpec(50.0))
+    out = heat_flow(g, 50.0)
     assert np.abs(out.w - 1.0 / 64.0).max() <= 1e-10
 
 
@@ -141,10 +140,10 @@ def test_heat_flow_mode_cutoff():
     # keeping only the constant mode projects straight to the uniform grid
     rng = np.random.default_rng(16)
     g = random_grid(8, rng)
-    out = heat_flow(g, HeatFlowSpec(0.0, j_max=1, k_max=1))
+    out = heat_flow(g, 0.0, j_max=1, k_max=1)
     assert np.abs(out.w - 1.0 / 64.0).max() <= 1e-12
     # t = 0 with no cutoff is the identity
-    same = heat_flow(g, HeatFlowSpec(0.0))
+    same = heat_flow(g, 0.0)
     assert np.abs(same.w - g.w).max() <= 1e-13
 
 
@@ -153,19 +152,19 @@ def test_heat_flow_huge_time_is_uniform_without_warnings():
     g = random_grid(8, np.random.default_rng(18))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = heat_flow(g, HeatFlowSpec(1e308))
+        out = heat_flow(g, 1e308)
     assert np.abs(out.w - 1.0 / 64.0).max() <= 1e-16
 
 
-def _dct_heat_flow(g, spec):
+def _dct_heat_flow(g, t, j_max, k_max):
     """The flow through scipy's orthonormal DCT-II, written out as the reference."""
     from scipy.fft import dctn, idctn
 
     m = g.m
     modes = np.arange(m)
-    damp = np.exp(-spec.t * (modes[:, None] ** 2 + modes[None, :] ** 2))
-    j_max = m if spec.j_max is None else min(spec.j_max, m)
-    k_max = m if spec.k_max is None else min(spec.k_max, m)
+    damp = np.exp(-t * (modes[:, None] ** 2 + modes[None, :] ** 2))
+    j_max = m if j_max is None else min(j_max, m)
+    k_max = m if k_max is None else min(k_max, m)
     damp = damp * (modes[:, None] < j_max) * (modes[None, :] < k_max)
     w2 = idctn(dctn(g.density(), norm="ortho") * damp, norm="ortho") / (m * m)
     return rebalance_marginals(np.where(w2 < 0, 0.0, w2))
@@ -181,22 +180,26 @@ CUTOFFS = {"none": lambda m: None, "one": lambda m: 1,
        st.integers(0, 2**32 - 1))
 def test_heat_flow_is_the_cosine_flow(m, t, j_cut, k_cut, seed):
     g = random_grid(m, np.random.default_rng(seed))
-    spec = HeatFlowSpec(t, j_max=CUTOFFS[j_cut](m), k_max=CUTOFFS[k_cut](m))
-    want = _dct_heat_flow(g, spec)
-    assert np.abs(heat_flow(g, spec).w - want).max() <= 1e-14 * want.max()
+    j_max, k_max = CUTOFFS[j_cut](m), CUTOFFS[k_cut](m)
+    want = _dct_heat_flow(g, t, j_max, k_max)
+    assert np.abs(heat_flow(g, t, j_max, k_max).w - want).max() <= 1e-14 * want.max()
 
 
 def test_heat_flow_spec_validation():
+    g = random_grid(4, np.random.default_rng(20))
     # NaN and inf once passed and failed later on the flowed cell masses
     for t in (-0.1, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="diffusion time must be finite and nonnegative"):
-            HeatFlowSpec(t)
+            heat_flow(g, t)
     with pytest.raises(ValueError):
-        HeatFlowSpec(0.0, j_max=0)
-    HeatFlowSpec(0.0, j_max=3, k_max=None)
+        heat_flow(g, 0.0, j_max=0)
+    heat_flow(g, 0.0, j_max=3, k_max=None)
     # a fractional cutoff once acted as the next integer
     for name in ("j_max", "k_max"):
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                HeatFlowSpec(0.0, **{name: bad})
-    assert HeatFlowSpec(0.0, j_max=np.int64(3)).j_max == 3
+                heat_flow(g, 0.0, **{name: bad})
+    # a numpy integer cutoff flows as the equal int does, bit for bit
+    for name in ("j_max", "k_max"):
+        want = heat_flow(g, 0.05, **{name: 3}).w
+        assert np.array_equal(heat_flow(g, 0.05, **{name: np.int64(3)}).w, want)

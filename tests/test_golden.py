@@ -38,16 +38,16 @@ from permutons import cli
 from permutons.core import (GridPermuton, Permutation, SegmentPermuton, gamma_ab,
                             grid_from_permutation, grid_to_csv, rebalance_marginals,
                             sample_permutation, sample_points)
-from permutons.entropy import HeatFlowSpec, heat_flow, riemann_refinement
+from permutons.entropy import heat_flow, riemann_refinement
 from permutons.insertion import insertion_from_permuton, reconstruct, star12_family
 from permutons.optimizer import (ConstraintSet, maximize_entropy, pde_residual_12,
                                  pde_residual_123)
 from permutons.oracle import ldp_estimate, mahonian_log_gf
 from permutons.patterns import PatternSpec, _hessian_operator, densities, density_mc
 from permutons.regions import dimple, gamma_ab_sweep, region_123_321, region_star23_boundary
-from permutons.starmodel import (StarModel, evaluate_star, solve_star, star12_cdf,
-                                 star12_density, star12_entropy, star12_grid,
-                                 star12_r_from_rho, star12_rho)
+from permutons.starmodel import (evaluate_star, solve_star, star12_cdf, star12_density,
+                                 star12_entropy, star12_grid, star12_r_from_rho,
+                                 star12_rho)
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -115,9 +115,9 @@ def catalogue():
     star = star12_grid(-2.0, 16)
     flow_src = GridPermuton(_seeded_grid(16))
     yield "entropy/refinement", riemann_refinement(star, [1, 2, 4, 8, 16])
-    yield "heat_flow/seeded", heat_flow(flow_src, HeatFlowSpec(0.05)).w
-    yield "heat_flow/seeded/cutoff", heat_flow(flow_src, HeatFlowSpec(0.0, j_max=3, k_max=5)).w
-    yield "heat_flow/star12", heat_flow(star, HeatFlowSpec(0.3)).w
+    yield "heat_flow/seeded", heat_flow(flow_src, 0.05).w
+    yield "heat_flow/seeded/cutoff", heat_flow(flow_src, 0.0, j_max=3, k_max=5).w
+    yield "heat_flow/star12", heat_flow(star, 0.3).w
     rr = reconstruct(star12_family(-1.0, 8, 16), 8)
     yield "reconstruct/star12_family", [rr.grid.w, rr.correction]
     rr = reconstruct(insertion_from_permuton(star12_grid(2.0, 16)), 16)
@@ -132,7 +132,7 @@ def catalogue():
 
     # seeded Monte Carlo on a grid and on a gamma_ab permuton
     for src_name, src in (("grid", GridPermuton(_seeded_grid(8))), ("gamma_ab", gamma_ab(0.5, 0.1))):
-        yield f"sample_points/{src_name}", sample_points(src, 64, np.random.default_rng(1))
+        yield f"sample_points/{src_name}", sample_points(src, 64, 1)
         yield f"sample_permutation/{src_name}", sample_permutation(src, 20, 2).values
         for lbl, trials, seed, n_points in (("123", 5000, 3, None), ("**3", 3000, 5, None),
                                             ("132", 200, 4, 6), ("12", 5000, 6, None),
@@ -149,7 +149,7 @@ def catalogue():
     zero = np.vstack([gamma_ab(0.5, 0.1).segments, [0.2, 0.4, 0.3, 1.0, 0.0]])
     for src_name, src in (("flat_grid", flat), ("zero_mass_segment", SegmentPermuton(zero)),
                           ("segments17", gamma_ab(0.79, 0.05))):
-        yield f"sample_points/{src_name}", sample_points(src, 512, np.random.default_rng(9))
+        yield f"sample_points/{src_name}", sample_points(src, 512, 9)
         for lbl, trials, seed in (("12", 20000, 10), ("321", 20000, 11), ("132", 20000, 12)):
             est = density_mc(src, PatternSpec.parse(lbl), trials, seed)
             yield f"density_mc/{src_name}/{lbl}", [est.value, est.stderr, est.trials]
@@ -175,7 +175,7 @@ def catalogue():
         yield f"star12/r={r}/density", star12_density(r, xs[:, None], xs[None, :])
         yield f"star12/r={r}/grid", star12_grid(r, 8).w
     yield "star12/r_from_rho", [star12_r_from_rho(0.3), star12_r_from_rho(0.7)]
-    sol = evaluate_star(StarModel(((1, 0, -1.5), (1, 1, 0.7))))
+    sol = evaluate_star([(1, 0), (1, 1)], [-1.5, 0.7])
     yield "evaluate_star", [sol.alpha, sol.densities, sol.free_energy, sol.entropy, sol.hessian]
     for exps, targets in (([(1, 0)], [0.3]), ([(1, 0), (2, 0)], [0.5, 0.3]),
                           ([(1, 0), (2, 0), (1, 1)], [0.53, 0.37, 0.34])):
@@ -189,7 +189,7 @@ def catalogue():
         sol = solve_star([(1, 0), (2, 0)], [0.5, low + d])
         yield (f"solve_star/star23-lower+{d}", [sol.alpha, sol.densities, sol.free_energy,
                                                 sol.entropy, sol.hessian, sol.newton_iterations])
-    sol = evaluate_star(StarModel(((1, 0, 2.3e4), (2, 0, -7.7e4))))
+    sol = evaluate_star([(1, 0), (2, 0)], [2.3e4, -7.7e4])
     yield "evaluate_star/large_alpha", [sol.densities, sol.free_energy, sol.entropy, sol.hessian]
     yield "mahonian_log_gf/12", mahonian_log_gf(12)
     yield "ldp_estimate", [ldp_estimate(n, 0.4, 0.05) for n in (20, 40)]

@@ -275,6 +275,11 @@ def test_family_csv_rejects_malformed_input():
         family_from_csv("\n".join([lines[0], "5,1,1", *lines[2:]]) + "\n")
     with pytest.raises(ValueError, match="missing triples"):
         family_from_csv("\n".join([lines[0], lines[1], lines[1], *lines[3:]]) + "\n")
+    # a complete file with one triple given twice: the later line once
+    # overwrote the earlier one, so this parsed to the original family
+    changed = "\n".join([lines[0], "1,1,5", *lines[2:], lines[1]]) + "\n"
+    with pytest.raises(ValueError, match=r"triple \(1, 1\) appears more than once"):
+        family_from_csv(changed)
     # the layout and each column's mass: column 0 has 8 cells, column 3 14
     cols = list(flat_family(4, 16).cols)
     for args, match in (((0, 16, ()), "resolutions must be >= 1"),

@@ -81,7 +81,7 @@ with tempfile.TemporaryDirectory() as tmp:
 report(starmodel.star12_entropy(-2.0))
 report(oracle.ldp_estimate(40, 0.4, 0.05))
 report(entropy.entropy_grid(
-    entropy.heat_flow(starmodel.star12_grid(-2.0, 16), entropy.HeatFlowSpec(0.05))))
+    entropy.heat_flow(starmodel.star12_grid(-2.0, 16), 0.05)))
 # 8 output cells take 65 chunk boundaries per column: the monotone cubic branch
 report(insertion.reconstruct(insertion.star12_family(-1.0, 8, 16), 8).correction)
 """

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from permutons import (
     ConvergenceError,
-    StarModel,
     evaluate_star,
     flat_family,
     mahonian_log_gf,
@@ -264,10 +263,6 @@ def test_dilogarithm_refuses_arguments_outside_its_domain(z):
         starmodel._li2(z)
 
 
-def star23_model(alpha):
-    return StarModel(((1, 0, alpha[0]), (2, 0, alpha[1])))
-
-
 @pytest.mark.parametrize("nquad", [96, 192, 768, 1536])
 def test_stacked_contraction_is_the_tensordot_bit_for_bit(nquad):
     """alpha @ phi.transpose(1, 0, 2), the tilt of the star quadrature as one
@@ -285,7 +280,7 @@ def test_stacked_contraction_is_the_tensordot_bit_for_bit(nquad):
 
 
 def test_free_energy_zero_and_uniform_gradient():
-    ev = evaluate_star(star23_model((0.0, 0.0)))
+    ev = evaluate_star(STAR23, (0.0, 0.0))
     assert ev.free_energy == pytest.approx(0.0, abs=1e-14)
     assert ev.entropy == pytest.approx(0.0, abs=1e-14)
     assert ev.newton_iterations == 0
@@ -299,7 +294,7 @@ def test_free_energy_matches_one_parameter_model():
     # the pattern, while the closed-form rate measures the opposite tilt,
     # so the two parameters are negatives of each other
     for a in (-3.0, 1.2):
-        ev = evaluate_star(StarModel(((1, 0, a),)))
+        ev = evaluate_star([(1, 0)], [a])
         assert ev.densities[0] == pytest.approx(star12_rho(-a), abs=1e-10)
         assert ev.entropy == pytest.approx(star12_entropy(a), abs=1e-10)
 
@@ -309,21 +304,21 @@ def test_gradient_matches_finite_differences():
     kfac = np.array([2.0, 6.0])
     for _ in range(4):
         alpha = rng.uniform(-4.0, 4.0, size=2)
-        grad = evaluate_star(star23_model(alpha)).densities / kfac
+        grad = evaluate_star(STAR23, alpha).densities / kfac
         eps = 1e-6
         for i in range(2):
             a_hi, a_lo = alpha.copy(), alpha.copy()
             a_hi[i] += eps
             a_lo[i] -= eps
-            fd = (evaluate_star(star23_model(a_hi)).free_energy
-                  - evaluate_star(star23_model(a_lo)).free_energy) / (2 * eps)
+            fd = (evaluate_star(STAR23, a_hi).free_energy
+                  - evaluate_star(STAR23, a_lo).free_energy) / (2 * eps)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
 def test_hessian_positive_definite():
     rng = np.random.default_rng(83)
     for _ in range(20):
-        hess = evaluate_star(star23_model(rng.uniform(-6.0, 6.0, size=2))).hessian
+        hess = evaluate_star(STAR23, rng.uniform(-6.0, 6.0, size=2)).hessian
         assert np.abs(hess - hess.T).max() <= 1e-12
         assert np.linalg.eigvalsh(hess).min() > 0.0
 
@@ -335,7 +330,7 @@ def test_evaluation_round_trips_through_solver(exps, data):
     # evaluating at alpha and solving for the densities it reports must
     # give alpha back, and the entropy is the Legendre dual of F
     alpha = np.array([data.draw(st.floats(-4.0, 4.0)) for _ in exps])
-    ev = evaluate_star(StarModel(tuple((r, s, a) for (r, s), a in zip(exps, alpha))))
+    ev = evaluate_star(exps, alpha)
     kfac = np.array([math.factorial(r + s + 1) for r, s in exps], float)
     assert ev.entropy == pytest.approx(
         ev.free_energy - float(alpha @ (ev.densities / kfac)), abs=1e-12)
@@ -357,7 +352,7 @@ def test_solver_interior_target():
     assert sol.alpha[1] == pytest.approx(57.832559905281009, abs=1e-6)
     assert sol.entropy == pytest.approx(-0.85295297934253811, abs=1e-9)
     assert sol.free_energy == pytest.approx(-1.2008191746626247, abs=1e-9)
-    ev = evaluate_star(star23_model(sol.alpha))
+    ev = evaluate_star(STAR23, sol.alpha)
     assert ev.free_energy == sol.free_energy
     assert ev.entropy == sol.entropy
     assert np.array_equal(ev.densities, sol.densities)
@@ -402,7 +397,7 @@ def test_solver_input_validation():
     # a fractional exponent was once truncated, solving the (1, 0) model
     ({"exponents": [(1.5, 0)]}, "exponent r must be an integer"),
     ({"exponents": [(1, 0.5)]}, "exponent s must be an integer"),
-    # no term, or one term twice (the check StarModel shares)
+    # no term, or one term twice (the check evaluate_star shares)
     ({"exponents": []}, "model needs at least one term"),
     ({"exponents": [(1, 0), (2, 0), (1, 0)], "targets": [0.3, 0.2, 0.3]},
      "exponent pairs must be distinct"),
@@ -416,7 +411,25 @@ def test_solver_rejects_bad_settings_by_name(kwargs, match):
 def test_model_rejects_non_finite_coefficients():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="coefficients must be finite"):
-            StarModel(((1, 0, bad),))
+            evaluate_star([(1, 0)], [bad])
+
+
+@pytest.mark.parametrize("alpha", [[], [0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1])
+def test_evaluation_needs_one_coefficient_per_exponent_pair(alpha):
+    with pytest.raises(ValueError, match="one coefficient per exponent pair"):
+        evaluate_star(STAR23, alpha)
+
+
+def test_evaluation_takes_a_solution_as_it_is_returned():
+    sol = solve_star(STAR23, (0.5, 0.4))
+    ev = evaluate_star(sol.terms, sol.alpha)
+    assert ev.terms == sol.terms and ev.newton_iterations == 0
+    assert ev.free_energy == sol.free_energy and ev.entropy == sol.entropy
+    assert np.array_equal(ev.densities, sol.densities)
+    assert np.array_equal(ev.hessian, sol.hessian)
+    # alpha is copied: the evaluation shares no array with the solution
+    assert np.array_equal(ev.alpha, sol.alpha)
+    assert not np.shares_memory(ev.alpha, sol.alpha)
 
 
 def test_newton_stall_raises_convergence_error(monkeypatch):
@@ -433,15 +446,15 @@ def test_newton_stall_raises_convergence_error(monkeypatch):
 def test_model_refuses_a_fractional_exponent_by_name():
     # it was once truncated to the (1, 0, 0.2) model
     with pytest.raises(ValueError, match="exponent r must be an integer"):
-        StarModel(((1.5, 0, 0.2),))
+        evaluate_star([(1.5, 0)], [0.2])
     with pytest.raises(ValueError, match="exponent s must be an integer"):
-        StarModel(((1, True, 0.2),))
+        evaluate_star([(1, True)], [0.2])
 
 
 def test_quadrature_has_no_setting():
     # the node count is derived from the solver's own refinement check
     with pytest.raises(TypeError):
-        StarModel(((1, 0, 0.5),), quad=96)
+        evaluate_star([(1, 0)], [0.5], quad=96)
     with pytest.raises(TypeError):
         solve_star([(1, 0)], [0.3], quad=96)
 
@@ -505,19 +518,19 @@ def test_each_point_and_node_count_is_evaluated_once(monkeypatch):
     assert {n for _, n in calls} == {96, 192, 384, 768}
     assert len(set(calls)) == len(calls)
     calls.clear()
-    evaluate_star(star23_model(sol.alpha))
+    evaluate_star(STAR23, sol.alpha)
     assert [n for _, n in calls] == [96, 192, 384]
 
 
 def test_large_coefficients_evaluate_on_refined_nodes(monkeypatch):
     # the +5e-5 solution's alpha: 96 nodes disagree with 192 on F there
-    model = star23_model((2.3e4, -7.7e4))
-    ev = evaluate_star(model)
+    alpha = (2.3e4, -7.7e4)
+    ev = evaluate_star(STAR23, alpha)
     assert np.all((ev.densities > 0.0) & (ev.densities < 1.0))
     assert np.linalg.eigvalsh(ev.hessian).min() > 0.0
     monkeypatch.setattr(starmodel, "_MAX_QUAD", 96)
     with pytest.raises(ConvergenceError, match="quad = 96"):
-        evaluate_star(model)
+        evaluate_star(STAR23, alpha)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
