@@ -71,7 +71,7 @@ _EXPORTS = {
     "InsertionFamily": "insertion",
     "ReconstructionResult": "insertion",
     "flat_family": "insertion",
-    "star12_family": "insertion",
+    "star_family": "insertion",
     "insertion_from_permuton": "insertion",
     "reconstruct": "insertion",
     "insertion_entropy": "insertion",

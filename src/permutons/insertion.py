@@ -21,7 +21,9 @@ representation as
     H(gamma) = int_0^1 int_0^x -f(x, y) log(x f(x, y)) dy dx,
 
 with f the density of nu_x, vanishing identically iff f = 1/x (the uniform
-permuton).
+permuton).  This dynamic construction builds the maximizer of a star model
+(``starmodel``) at coefficients alpha from the family ``star_family``: f(x, t)
+~ exp(sum_i alpha_i t^{r_i} (x - t)^{s_i} / (r_i! s_i!)) on t in [0, x].
 
 Families are stored column-sampled: column c sits at x = (c + 1/2)/m_t and
 carries density values on max(8, ceil(x * m_y)) uniform y-cells over [0, x]
@@ -54,9 +56,10 @@ import numpy as np
 
 from .core import (GridPermuton, _as_count, _frozen, _header_count, _reduce, _text_rows, cdf,
                    rebalance_marginals)
-from .starmodel import _FLAT_RATE
+from .starmodel import _coefficients, _gl01, _phi
 
 COLUMN_NORM_TOL = 1e-8
+_CELL_QUAD = 16  # Gauss-Legendre nodes per y-cell of a star_family column
 
 
 def column_x(mt: int) -> np.ndarray:
@@ -104,26 +107,22 @@ class InsertionFamily:
 
 def flat_family(mt: int, my: int) -> InsertionFamily:
     """The uniform permuton's family: f(x, y) = 1/x on [0, x]."""
-    xs = column_x(mt)
-    cols = [np.full(column_cells(x, my), 1.0 / x) for x in xs]
+    cols = [np.full(column_cells(x, my), 1.0 / x) for x in column_x(mt)]
     return InsertionFamily(mt, my, tuple(cols))
 
 
-def star12_family(r: float, mt: int, my: int) -> InsertionFamily:
-    """Truncated exponential family f(x, y) = r e^{-ry} / (1 - e^{-rx}).
-
-    Cell values are exact cell averages (CDF differences), so every column
-    is normalized exactly.  |r| < 1e-100 gives the flat family.
-    """
-    if abs(r) < _FLAT_RATE:
-        return flat_family(mt, my)
-    xs = column_x(mt)
+def star_family(exponents, alpha, mt: int, my: int) -> InsertionFamily:
+    """The star model's family (module doc) at ``alpha``, one coefficient per
+    exponent pair as in ``evaluate_star``: each cell holds the _CELL_QUAD-point
+    Gauss-Legendre average of the tilt, each column normalized to mass 1."""
+    exps, alpha = _coefficients(exponents, alpha)
+    g, w = _gl01(_CELL_QUAD)
     cols = []
-    for x in xs:
+    for x in column_x(mt):
         ny = column_cells(x, my)
-        edges = np.linspace(0.0, x, ny + 1)
-        cdf_vals = np.expm1(-r * edges) / np.expm1(-r * x)
-        cols.append(np.diff(cdf_vals) * (ny / x))
+        pt = alpha @ _phi(exps, np.array([x]), ((np.arange(ny)[:, None] + g) / ny).ravel())[:, 0]
+        cell = np.exp(pt - pt.max()).reshape(ny, _CELL_QUAD) @ w
+        cols.append(cell * (ny / (x * cell.sum())))
     return InsertionFamily(mt, my, tuple(cols))
 
 
@@ -370,13 +369,16 @@ def family_from_csv(text: str) -> InsertionFamily:
     cols = [np.zeros(n) for n in sizes]
     seen = [np.zeros(n, dtype=bool) for n in sizes]
     repeat = None
-    for cs, ks, vs in rows:
-        c, k = int(cs) - 1, int(ks) - 1
+    for i, (cs, ks, vs) in enumerate(rows, 1):
+        try:
+            c, k, v = int(cs) - 1, int(ks) - 1, float(vs)
+        except ValueError as exc:
+            raise ValueError(f"data line {i}: {exc}") from None
         if not (0 <= c < mt and 0 <= k < cols[c].size):
             raise ValueError(f"triple ({cs}, {ks}) outside the family layout")
         if seen[c][k] and repeat is None:
             repeat = (c + 1, k + 1)
-        cols[c][k] = float(vs)
+        cols[c][k] = v
         seen[c][k] = True
     if not all(s.all() for s in seen):
         raise ValueError("family CSV is missing triples")

@@ -254,6 +254,15 @@ def _gl01(n: int):
     return _frozen(0.5 * (z + 1.0)), _frozen(0.5 * w)
 
 
+def _phi(exponents, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tilt monomials phi_i(x u, x) = x^{r+s} u^r (1-u)^s / (r! s!), stacked (k, x, u)."""
+    phi = np.empty((len(exponents), x.size, u.size))
+    for i, (r, s) in enumerate(exponents):
+        phi[i] = (x[:, None] ** (r + s)) * (u[None, :] ** r) \
+            * ((1.0 - u[None, :]) ** s) / (math.factorial(r) * math.factorial(s))
+    return phi
+
+
 def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     """(F, grad, hess) by tensor Gauss-Legendre after t = x u substitution.
 
@@ -272,12 +281,7 @@ def _fe_parts(exponents, alpha: np.ndarray, nquad: int):
     """
     # x and u share one rule
     xg, xw = ug, uw = _gl01(nquad)
-    k = len(exponents)
-    # phi_i(t = x u, x) = x^{r+s} u^r (1-u)^s / (r! s!)
-    phi = np.empty((k, nquad, nquad))
-    for i, (r, s) in enumerate(exponents):
-        phi[i] = (xg[:, None] ** (r + s)) * (ug[None, :] ** r) \
-            * ((1.0 - ug[None, :]) ** s) / (math.factorial(r) * math.factorial(s))
+    phi = _phi(exponents, xg, ug)
     pt = alpha @ phi.transpose(1, 0, 2)
     pt_max = pt.max(axis=1, keepdims=True)
     ew = np.exp(pt - pt_max) * uw[None, :]
@@ -324,6 +328,17 @@ def _solution(exps, alpha, parts, newton_iterations: int) -> StarSolution:
                         F - float(alpha @ grad), hess, newton_iterations)
 
 
+def _coefficients(exponents, alpha):
+    """Checked exponent pairs and a float64 copy of alpha, one finite each."""
+    exps = _exponent_pairs(exponents)
+    alpha = np.array(alpha, dtype=np.float64)
+    if alpha.shape != (len(exps),):
+        raise ValueError("one coefficient per exponent pair")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"coefficients must be finite, got {alpha.tolist()}")
+    return exps, alpha
+
+
 def evaluate_star(exponents, alpha) -> StarSolution:
     """Free energy, densities, entropy and Hessian at coefficients ``alpha``,
     one per exponent pair (r_i, s_i) as ``solve_star`` takes them, on _QUAD
@@ -332,12 +347,7 @@ def evaluate_star(exponents, alpha) -> StarSolution:
     ``alpha`` is copied, so the solution shares no array with the caller;
     a missing, extra or non-finite coefficient raises ValueError.
     """
-    exps = _exponent_pairs(exponents)
-    alpha = np.array(alpha, dtype=np.float64)
-    if alpha.shape != (len(exps),):
-        raise ValueError("one coefficient per exponent pair")
-    if not np.isfinite(alpha).all():
-        raise ValueError(f"coefficients must be finite, got {alpha.tolist()}")
+    exps, alpha = _coefficients(exponents, alpha)
     nquad = _QUAD
     parts, resolved = _fe_parts(exps, alpha, nquad), False
     while not resolved:

@@ -54,10 +54,10 @@ from permutons import (
     star12_cdf,
     star12_density,
     star12_entropy,
-    star12_family,
     star12_grid,
     star12_r_from_rho,
     star12_rho,
+    star_family,
     uniform_grid,
 )
 
@@ -106,7 +106,7 @@ def test_criterion_2_quadrature_cross_checks():
         g = star12_density(r, X, Y)
         rho_quad = 2.0 * np.sum(W2 * g * star12_cdf(r, X, Y))
         worst_rho = max(worst_rho, abs(rho_quad - star12_rho(r)))
-        ent = insertion_entropy(star12_family(r, 512, 512))
+        ent = insertion_entropy(star_family(((1, 0),), (-r,), 512, 512))
         worst_ent = max(worst_ent, abs(ent - star12_entropy(r)))
     _verdict(2, 10.0, worst_rho <= 1e-6 and worst_ent <= 1e-5,
              "pair-density quadrature gap %.1e (tol 1e-6), insertion "
@@ -272,7 +272,7 @@ def test_criterion_9_structural_invariants():
         star12_grid(-1.5, 64),
         maximize_entropy(ConstraintSet.of(("12", 0.35)), 16).grid,
         heat_flow(_random_grid(16, rng), 0.05),
-        reconstruct(star12_family(1.0, 32, 32), 16).grid,
+        reconstruct(star_family(((1, 0),), (-1.0,), 32, 32), 16).grid,
     ]
     marg_worst = max(marg_err(g) for g in built)
 

@@ -39,7 +39,7 @@ from permutons.core import (GridPermuton, Permutation, SegmentPermuton, gamma_ab
                             grid_from_permutation, grid_to_csv, rebalance_marginals,
                             sample_permutation, sample_points)
 from permutons.entropy import heat_flow, riemann_refinement
-from permutons.insertion import insertion_from_permuton, reconstruct, star12_family
+from permutons.insertion import insertion_from_permuton, reconstruct, star_family
 from permutons.optimizer import (ConstraintSet, maximize_entropy, pde_residual_12,
                                  pde_residual_123)
 from permutons.oracle import ldp_estimate, mahonian_log_gf
@@ -118,8 +118,12 @@ def catalogue():
     yield "heat_flow/seeded", heat_flow(flow_src, 0.05).w
     yield "heat_flow/seeded/cutoff", heat_flow(flow_src, 0.0, j_max=3, k_max=5).w
     yield "heat_flow/star12", heat_flow(star, 0.3).w
-    rr = reconstruct(star12_family(-1.0, 8, 16), 8)
-    yield "reconstruct/star12_family", [rr.grid.w, rr.correction]
+    rr = reconstruct(star_family([(1, 0)], [1.0], 8, 16), 8)
+    yield "reconstruct/star_family/[(1, 0)]", [rr.grid.w, rr.correction]
+    # the two-term model at the coefficients of the star23 targets (0.5, 0.4)
+    rr = reconstruct(star_family([(1, 0), (2, 0)], solve_star([(1, 0), (2, 0)], [0.5, 0.4]).alpha,
+                                 8, 16), 8)
+    yield "reconstruct/star_family/[(1, 0), (2, 0)]", [rr.grid.w, rr.correction]
     rr = reconstruct(insertion_from_permuton(star12_grid(2.0, 16)), 16)
     yield "reconstruct/extracted", [rr.grid.w, rr.correction]
     # a 32-column family to 16 output cells at the default step, and a step

@@ -1,15 +1,18 @@
 """Insertion families: extraction, entropy functional, and reconstruction.
 
 The conditional insertion density of the one-parameter ascent model is
-r e^(-r y) / (1 - e^(-r x)) on y in [0, x], whose band averages follow from
-the truncated-exponential CDF.  Extraction from a density grid sees cell
+r e^(-r y) / (1 - e^(-r x)) on y in [0, x], whose band averages have a
+closed form.  Extraction from a density grid sees cell
 averages in x as well, so its error is O(1/m) and halves when the grid is
 refined; for x-independent families (the uniform permuton) the column
 averages are exact and extraction must return the flat family to machine
 precision.  The entropy functional evaluated on the exact family must match
 the closed-form model entropy, and transporting the family back to a grid
 must land within rectangle distance of the model grid while reporting a
-sub-1e-3 marginal correction.
+sub-1e-3 marginal correction.  Every star model has a family
+(``star_family``), so three routes reach its entropy maximizer: the
+coefficients of ``solve_star``, the grid ``reconstruct`` flows from their
+family, and ``maximize_entropy`` on the grid; they agree at O(1/m^2).
 
 Reconstruction steps all columns on one shared time grid.  Where that grid's
 spacing equals the requested step (mt a power of two at the default step),
@@ -27,10 +30,14 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from permutons import (
+    ConstraintSet,
     GridPermuton,
     InsertionFamily,
+    PatternSpec,
     Permutation,
+    densities,
     entropy_grid,
+    evaluate_star,
     family_from_csv,
     family_to_csv,
     flat_family,
@@ -39,19 +46,26 @@ from permutons import (
     insertion_from_permuton,
     reconstruct,
     rebalance_marginals,
+    maximize_entropy,
     rect_distance,
+    solve_star,
     star12_entropy,
-    star12_family,
     star12_grid,
+    star_family,
     uniform_grid,
 )
 from permutons.insertion import _pchip, column_cells
 
+# the one-term star model with rate r has alpha = -r
+STAR12 = ((1, 0),)
+
 
 def band_average_reference(r, x, ny):
-    edges = np.arange(ny + 1) * (x / ny)
-    F = -np.expm1(-r * edges) / -np.expm1(-r * x)
-    return np.diff(F) / (x / ny)
+    # the cell averages of r e^(-r y) / (1 - e^(-r x)), written so that no
+    # difference cancels: e^(-r lo) expm1(-r h) / (expm1(-r x) h) for the
+    # cell [lo, lo + h]
+    h = x / ny
+    return np.exp(-r * np.arange(ny) * h) * np.expm1(-r * h) / (np.expm1(-r * x) * h)
 
 
 def per_column_reference(fam, m_out, step=1.0 / 512):
@@ -120,7 +134,7 @@ def test_flat_family_shape_and_entropy():
 
 
 def test_family_columns_normalize():
-    for fam in (flat_family(32, 32), star12_family(-2.0, 32, 48)):
+    for fam in (flat_family(32, 32), star_family(STAR12, (2.0,), 32, 48)):
         for j, col in enumerate(fam.cols):
             x = (j + 0.5) / fam.mt
             col = np.asarray(col)
@@ -131,18 +145,77 @@ def test_family_columns_normalize():
 
 
 def test_star_family_matches_band_averages():
-    fam = star12_family(-2.0, 64, 64)
-    for j in (0, 10, 40, 63):
-        x = (j + 0.5) / 64.0
-        col = np.asarray(fam.cols[j])
-        ref = band_average_reference(-2.0, x, col.size)
-        assert np.max(np.abs(col - ref) / ref) <= 1e-10
+    # every cell, at rates steep enough that the last cells of a column
+    # carry about e^-40 of its mass
+    for r in (-40.0, -2.0, 2.0, 40.0):
+        fam = star_family(STAR12, (-r,), 64, 64)
+        for j, col in enumerate(fam.cols):
+            ref = band_average_reference(r, (j + 0.5) / 64.0, col.size)
+            assert np.max(np.abs(col - ref) / ref) <= 1e-12
 
 
 def test_insertion_entropy_matches_closed_form():
     for r in (-2.0, -6.0):
-        fam = star12_family(r, 512, 512)
+        fam = star_family(STAR12, (-r,), 512, 512)
         assert abs(insertion_entropy(fam) - star12_entropy(r)) <= 1e-5
+
+
+@pytest.mark.parametrize("exps, alpha, gap_256", [
+    (((1, 0),), (2.0,), 2.6e-6),
+    (((2, 0),), (-3.0,), 6.7e-7),
+    (((1, 0), (2, 0)), (1.0, -2.0), 2.6e-7),
+    (((0, 1), (1, 1)), (3.0, 4.0), 4.8e-6),
+    (((1, 0), (2, 0)), (-4.0, 4.0), 6.9e-6),
+])
+def test_star_family_entropy_is_the_legendre_entropy(exps, alpha, gap_256):
+    # gap_256 is the gap measured at m = 256; the midpoint quadrature of the
+    # entropy functional converges at O(1/m^2)
+    H = evaluate_star(exps, alpha).entropy
+    g128, g256 = (abs(insertion_entropy(star_family(exps, alpha, m, m)) - H) for m in (128, 256))
+    assert g256 <= 2 * gap_256
+    assert g128 >= 3.5 * g256
+
+
+@pytest.mark.parametrize("exps, targets, measured", [
+    (((1, 0),), (0.3,), (1.09e-3, 2.71e-4)),
+    (((2, 0),), (0.4,), (3.17e-4, 7.92e-5)),
+    (((1, 0), (2, 0)), (0.5, 0.4), (1.98e-3, 4.98e-4)),
+    (((1, 0), (2, 0)), (0.5, 0.53), (9.34e-3, 2.56e-3)),
+], ids=["*2", "**3", "pair-0.4", "pair-0.53"])
+def test_star_models_agree_across_three_routes(exps, targets, measured):
+    # solve_star's coefficients, flowed from their insertion family by
+    # reconstruct, and maximize_entropy on the grid reach one maximizer;
+    # ``measured`` holds the rect distances between the two grids at
+    # m = 16 and 32, reconstructed from mt = my = 2m
+    sol = solve_star(exps, targets)
+    labels = [{(1, 0): "*2", (2, 0): "**3"}[e] for e in exps]
+    cons = ConstraintSet.of(*zip(labels, targets))
+    taus = [PatternSpec.parse(label) for label in labels]
+    dist, miss = [], []
+    for m in (16, 32):
+        rec = reconstruct(star_family(exps, sol.alpha, 2 * m, 2 * m), m).grid
+        opt = maximize_entropy(cons, m)
+        assert opt.converged
+        # the optimizer's grid competes for the continuum maximum H*, and
+        # by Jensen the maximizer averaged to m cells has more entropy
+        assert opt.entropy < sol.entropy < entropy_grid(rec)
+        dist.append(rect_distance(rec, opt.grid))
+        miss.append(np.abs(densities(rec, taus)[0] - np.asarray(targets)).max())
+    assert dist[0] <= 2 * measured[0] and dist[1] <= 2 * measured[1]
+    assert dist[0] >= 3 * dist[1]
+    assert miss[1] < miss[0]
+
+
+@pytest.mark.parametrize("exps, alpha, match", [
+    (STAR12, (1.0, 2.0), "one coefficient per exponent pair"),
+    (STAR12, (np.nan,), "coefficients must be finite"),
+    (((1, 0), (1, 0)), (1.0, 2.0), "exponent pairs must be distinct"),
+    (((0, 0),), (1.0,), r"bad exponent pair \(0, 0\)"),
+])
+def test_star_family_refuses_what_evaluate_star_refuses(exps, alpha, match):
+    for build in (evaluate_star, lambda e, a: star_family(e, a, 8, 8)):
+        with pytest.raises(ValueError, match=match):
+            build(exps, alpha)
 
 
 def test_extraction_is_exact_for_x_independent_families():
@@ -187,7 +260,7 @@ def test_extraction_rejects_non_invertible_cdf():
 
 @pytest.mark.parametrize("r", [-4.0, -1.0, 1.0, 4.0])
 def test_round_trip_reconstruction(r):
-    fam = star12_family(r, 64, 64)
+    fam = star_family(STAR12, (-r,), 64, 64)
     res = reconstruct(fam, 32)
     assert res.grid.m == 32
     assert rect_distance(res.grid, star12_grid(r, 32)) <= 0.02
@@ -202,10 +275,10 @@ def test_reconstruction_of_flat_family_is_uniform():
 
 @pytest.mark.parametrize("fam, m_out, step", [
     (flat_family(8, 8), 4, 1.0 / 512),
-    (star12_family(-3.0, 16, 24), 8, 1.0 / 512),
-    (star12_family(2.0, 32, 32), 2, 1.0 / 512),
+    (star_family(STAR12, (3.0,), 16, 24), 8, 1.0 / 512),
+    (star_family(STAR12, (-2.0,), 32, 32), 2, 1.0 / 512),
     # my > 8 m_out: the longer rows of the right columns pad the others
-    (star12_family(1.0, 4, 32), 2, 1.0 / 64),
+    (star_family(STAR12, (-1.0,), 4, 32), 2, 1.0 / 64),
 ])
 def test_shared_time_grid_matches_per_column_steps(fam, m_out, step):
     res = reconstruct(fam, m_out, step=step)
@@ -218,7 +291,7 @@ def test_unaligned_time_grid_stays_within_rk4_error():
     # mt = 6 puts no midpoint on the 1/512 grid: each column reaches its
     # first node by one partial step, and the grids agree to the RK4
     # truncation error
-    fam = star12_family(-3.0, 6, 6)
+    fam = star_family(STAR12, (3.0,), 6, 6)
     res = reconstruct(fam, 4)
     ref, correction = per_column_reference(fam, 4)
     assert np.abs(res.grid.w - ref.w).max() <= 1e-7
@@ -270,6 +343,11 @@ def test_family_csv_rejects_malformed_input():
             InsertionFamily(fam.mt, fam.my, tuple(cols))
     with pytest.raises(ValueError, match="non-finite"):
         family_from_csv("\n".join([lines[0], "1,1,nan", *lines[2:]]) + "\n")
+    # an index or density that does not parse is named by its data line
+    for line, match in (("1.5,1,1", r"data line 2: invalid literal for int\(\) .* '1\.5'"),
+                        ("1,1,abc", "data line 2: could not convert string to float: 'abc'")):
+        with pytest.raises(ValueError, match=match):
+            family_from_csv("\n".join([lines[0], lines[1], line, *lines[3:]]) + "\n")
     # a triple outside the layout, or one given twice where another is missing
     with pytest.raises(ValueError, match=r"triple \(5, 1\) outside the family layout"):
         family_from_csv("\n".join([lines[0], "5,1,1", *lines[2:]]) + "\n")
@@ -332,12 +410,12 @@ def test_family_refuses_fractional_resolutions_by_name():
     with pytest.raises(ValueError, match="my must be an integer, got 2.5"):
         flat_family(8, 2.5)
     with pytest.raises(ValueError, match="mt must be an integer, got 8.0"):
-        star12_family(1.0, 8.0, 8)
+        star_family(STAR12, (-1.0,), 8.0, 8)
     with pytest.raises(ValueError, match="my must be an integer, got True"):
         InsertionFamily(8, True, flat_family(8, 8).cols)
     # numpy integers are counts; they are stored as Python ints, so the CSV
     # header round-trips
-    fam = star12_family(1.0, np.int64(8), np.int32(8))
+    fam = star_family(STAR12, (-1.0,), np.int64(8), np.int32(8))
     assert type(fam.mt) is int and type(fam.my) is int
     text = family_to_csv(fam)
     assert text.startswith("mt=8,my=8\n") and family_to_csv(family_from_csv(text)) == text

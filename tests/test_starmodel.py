@@ -33,10 +33,10 @@ from permutons import (
     star12_cdf,
     star12_density,
     star12_entropy,
-    star12_family,
     star12_grid,
     star12_r_from_rho,
     star12_rho,
+    star_family,
     starmodel,
     uniform_grid,
 )
@@ -158,8 +158,11 @@ def test_tiny_rates_give_the_flat_model(r):
     assert np.array_equal(star12_cdf(r, X, Y), X * Y)
     assert np.array_equal(star12_density(r, X, Y), np.ones_like(X))
     assert np.array_equal(star12_grid(r, 16).w, uniform_grid(16).w)
-    fam, flat = star12_family(r, 16, 24), flat_family(16, 24)
-    assert all(np.array_equal(a, b) for a, b in zip(fam.cols, flat.cols))
+    fam, zero = (star_family(((1, 0),), (a,), 16, 24) for a in (-r, 0.0))
+    assert all(np.array_equal(a, b) for a, b in zip(fam.cols, zero.cols))
+    # and the r = 0 family is flat up to the rounding of its quadrature
+    worst = max(np.abs(a / b - 1.0).max() for a, b in zip(zero.cols, flat_family(16, 24).cols))
+    assert worst <= 2 * np.finfo(float).eps
 
 
 def test_grid_pair_density_tracks_closed_form():
