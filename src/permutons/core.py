@@ -140,17 +140,17 @@ class GridPermuton:
         m = w.shape[0]
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
-        if not np.all(np.isfinite(w) & (w >= 0)):
+        # ufunc reductions called directly: one is made per Newton trial point
+        if not np.logical_and.reduce(np.isfinite(w) & (w >= 0), axis=None):
             raise ValueError("cell masses must be finite and nonnegative")
         target = 1.0 / m
-        row = w.sum(axis=1)
-        col = w.sum(axis=0)
-        dev = max(np.abs(row - target).max(), np.abs(col - target).max())
+        add, top = np.add.reduce, np.maximum.reduce
+        dev = max(top(np.abs(add(w, axis=1) - target)), top(np.abs(add(w, axis=0) - target)))
         if dev > MARGINAL_TOL:
             raise ValueError(
                 f"marginals deviate from 1/m by {dev:.3e} (tolerance {MARGINAL_TOL:.0e})"
             )
-        if abs(w.sum() - 1.0) > MARGINAL_TOL:
+        if abs(add(w, axis=None) - 1.0) > MARGINAL_TOL:
             raise ValueError("total mass must equal 1")
 
     @property
@@ -607,40 +607,50 @@ def rebalance_marginals(w: np.ndarray) -> np.ndarray:
 
     Sinkhorn iteration: scale every row sum to 1/m, then every column sum.
     For strictly positive w this converges geometrically to the unique
-    doubly-stochastic-scaled matrix diag(u) w diag(v).  Zero rows or columns
-    cannot be repaired and raise ValueError, as do NaN or infinite entries;
-    sweeps that stall raise ConvergenceError with the last deviation.
+    doubly-stochastic-scaled matrix diag(u) w diag(v).  NaN or infinite
+    entries raise ValueError, then negative ones (-0.0 passes), then zero
+    rows or columns, which cannot be repaired; sweeps that stall raise
+    ConvergenceError with the last deviation.
     It stops once every marginal and the total are within 1e-13: m marginals
     each within it can leave the total m times farther off, past what
-    GridPermuton accepts.  A grid already there comes back as it is.
+    GridPermuton accepts.  A grid already there comes back as it is.  Each
+    sweep checks the row sums first and sums the columns and the total only
+    once the rows pass (or at the last sweep, for the stall's deviation).
     """
     w = np.array(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
         raise ValueError(f"cannot rebalance: shape {w.shape} is not a nonempty square")
     m = w.shape[0]
     target = 1.0 / m
-    rows = w.sum(axis=1)
+    rows = np.add.reduce(w, axis=1)
     # a NaN or +-inf entry makes its row sum non-finite (inf - inf is NaN)
     if not np.isfinite(rows).all():
         raise ValueError("cannot rebalance: non-finite mass")
+    if np.minimum.reduce(w, axis=None) < 0:
+        raise ValueError("cannot rebalance: negative mass")
+    # the reductions are called as ufunc methods: the same loops as
+    # ndarray.sum and .max, without their Python wrappers
+    add, top = np.add.reduce, np.maximum.reduce
     for sweep in range(_REBALANCE_MAX_ITER + 1):
-        dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
-        if dev <= _REBALANCE_TOL and abs(w.sum() - 1.0) <= _REBALANCE_TOL:
-            return w
-        if sweep == _REBALANCE_MAX_ITER:
-            raise ConvergenceError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
-                                   f"in {_REBALANCE_MAX_ITER} iterations (last deviation "
-                                   f"{dev:.3e})", float(dev))
+        dev = top(abs(rows - target))
+        if dev <= _REBALANCE_TOL or sweep == _REBALANCE_MAX_ITER:
+            dev = max(dev, top(abs(add(w, axis=0) - target)))
+            if dev <= _REBALANCE_TOL and abs(add(w, axis=None) - 1.0) <= _REBALANCE_TOL:
+                return w
+            if sweep == _REBALANCE_MAX_ITER:
+                raise ConvergenceError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
+                                       f"in {_REBALANCE_MAX_ITER} iterations (last deviation "
+                                       f"{dev:.3e})", float(dev))
         # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
         # is; min would return NaN and miss a zero sum next to a NaN one
         if np.fmin.reduce(rows) <= 0:
             raise ValueError("cannot rebalance: zero row mass")
         w *= (target / rows)[:, None]
-        cols = w.sum(axis=0)
+        cols = add(w, axis=0)
         if np.fmin.reduce(cols) <= 0:
             raise ValueError("cannot rebalance: zero column mass")
         w *= (target / cols)[None, :]
-        rows = w.sum(axis=1)
+        rows = add(w, axis=1)
 
 
 def _text_rows(template: str, values: np.ndarray) -> str:

@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -168,7 +169,7 @@ class OptimizerResult:
 
 def _entropy_and_grad(w: np.ndarray, m: int):
     lw = np.log(w) + 2.0 * np.log(m)
-    return float(-np.sum(w * lw)), -(lw + 1.0)
+    return float(-np.add.reduce(w * lw, axis=None)), -(lw + 1.0)
 
 
 def _tangent(g: np.ndarray) -> np.ndarray:
@@ -176,9 +177,23 @@ def _tangent(g: np.ndarray) -> np.ndarray:
     remove row means and column means, add back the grand mean.  The last
     axes are the grid; leading axes are a batch."""
     ny, nx = g.shape[-2:]
-    # np.mean's own sums and divisions, without its per-call overhead
-    return (g - g.sum(axis=-1, keepdims=True) / nx - g.sum(axis=-2, keepdims=True) / ny
-            + g.sum(axis=(-2, -1), keepdims=True) / (nx * ny))
+    # np.mean's own sums and divisions, without its per-call overhead, and
+    # the three updates in place in the order of g - rows - cols + total
+    add = np.add.reduce
+    t = g - add(g, axis=-1, keepdims=True) / nx
+    t -= add(g, axis=-2, keepdims=True) / ny
+    t += add(g, axis=(-2, -1), keepdims=True) / (nx * ny)
+    return t
+
+
+def _combination(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[..., i] stack[i]: the np.dot that np.tensordot(coeffs,
+    stack, axes=1) makes, on the same reshaped operands, without its
+    Python set-up."""
+    k = stack.shape[0]
+    lead = coeffs.shape[:-1]
+    return np.dot(coeffs.reshape(math.prod(lead), k),
+                  stack.reshape(k, -1)).reshape(lead + stack.shape[1:])
 
 
 def maximize_entropy(cons: ConstraintSet, m: int, *, tol_constraint: float = 1e-6,
@@ -235,10 +250,17 @@ class _Iterate:
         self.c = self.rho - targets
 
     def merit(self, nu: float) -> float:
-        return self.H - nu * float(np.abs(self.c).sum())
+        return self.H - nu * float(np.add.reduce(np.abs(self.c)))
 
     def grad_norm(self, lam: np.ndarray) -> float:
-        return float(np.abs(_tangent(self.gH - np.tensordot(lam, self.grads, axes=1))).max())
+        return float(np.maximum.reduce(np.abs(_tangent(self.gH - _combination(lam, self.grads))),
+                                       axis=None))
+
+    @cached_property
+    def tangent_grads(self) -> np.ndarray:
+        """P_T of each density gradient, for the constraint basis and the
+        Newton step of the same iterate."""
+        return _tangent(self.grads)
 
 
 class _NewtonSystem:
@@ -252,24 +274,33 @@ class _NewtonSystem:
         # in exact arithmetic CG ends within the (m - 1)^2 dimensions of the
         # tangent space; iterations beyond that only fight rounding
         self.max_iter = min(max_iter, (m - 1) ** 2)
-        self.hessian = _hessian_operator(w, taus, lam) if np.any(lam != 0.0) else None
+        self.hessian = _hessian_operator(w, taus, lam) if (lam != 0.0).any() else None
         # z = w (r + a_i + b_j) solves P_T (z / w) = r in T once (a, b) zero
         # the row and column sums of z.  With row sums R, column sums C and
         # p, q the row and column sums of w r, eliminating a = -(p + w b) / R
         # leaves (diag(C) - w^T diag(1/R) w) b = w^T (p / R) - q, singular
         # along b = const; the rank-one term pins sum(b) = 0.
-        self.rows = w.sum(axis=1)
-        s = np.diag(w.sum(axis=0)) - (w.T / self.rows) @ w + np.full((m, m), 1.0 / m)
+        self.rows = np.add.reduce(w, axis=1)
+        s = (np.diag(np.add.reduce(w, axis=0)) - (w.T / self.rows) @ w
+             + np.full((m, m), 1.0 / m))
         self.s_inv = np.linalg.inv(s)
         self.cg_iterations = 0
         self.truncated = False
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        wr = self.w * r
-        rsum = wr.sum(axis=1)
-        b = self.s_inv @ (self.w.T @ (rsum / self.rows) - wr.sum(axis=0))
-        a = -(rsum + self.w @ b) / self.rows
-        return wr + self.w * (a[:, None] + b[None, :])
+        # w r + w (a_i + b_j) with a = -c and c = (p + w b) / R, in place;
+        # b_j - c_i is a_i + b_j to the bit
+        w = self.w
+        wr = w * r
+        rsum = np.add.reduce(wr, axis=1)
+        b = self.s_inv @ (w.T @ (rsum / self.rows) - np.add.reduce(wr, axis=0))
+        c = w @ b
+        c += rsum
+        c /= self.rows
+        z = b - c[:, None]
+        z *= w
+        z += wr
+        return z
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = v / self.w
@@ -281,7 +312,7 @@ class _NewtonSystem:
         """The Newton direction dw and multipliers lam for the constraint
         combinations in ``basis``: one projected PCG solve of the KKT system
         K dw + A^T mu = g, A dw = -c_b (module doc)."""
-        a = list(np.tensordot(basis.T, _tangent(cur.grads), axes=1))
+        a = _combination(basis.T, cur.tangent_grads)
         g = _tangent(cur.gH)
         cb = basis.T @ cur.c
         # Q_i = M^-1 a_i and G = A Q; pinv: a G that rounding leaves
@@ -295,8 +326,10 @@ class _NewtonSystem:
             return [sum(gi * ti for gi, ti in zip(row, t)) for row in gram_inv]
 
         def combine(v, coeffs, vecs):
+            # v - c_1 u_1 - c_2 u_2 ..., in place: every v passed is the
+            # caller's own fresh array
             for ci, u in zip(coeffs, vecs):
-                v = v - ci * u
+                v -= ci * u
             return v
 
         mg = self.precondition(g)
@@ -315,7 +348,12 @@ class _NewtonSystem:
             rz_new = float(np.vdot(r, z))
             if rz_new <= stop or it == self.max_iter:
                 break
-            p = z if it == 0 else z + (rz_new / rz) * p
+            if it == 0:
+                p = z
+            else:
+                # z + beta p, in place: p holds no array used elsewhere
+                p *= rz_new / rz
+                p += z
             rz = rz_new
             kp = self.apply(p)
             self.cg_iterations += 1
@@ -328,8 +366,8 @@ class _NewtonSystem:
                 mu = solve_gram([float(np.vdot(ai, mg)) + ci for ai, ci in zip(a, cb)])
                 return combine(mg, mu, q), basis @ mu
             alpha = rz / pkp
-            x = x + alpha * p
-            r = r - alpha * kp
+            x += alpha * p
+            r -= alpha * kp
             mr = self.precondition(r)
         return x, basis @ mu
 
@@ -344,7 +382,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
     nu = 0.0
     history = []
     stop = _beyond_resolution(cons, w.shape[0])
-    converged = (stop is None and np.abs(cur.c).max() < tol_constraint
+    converged = (stop is None and np.maximum.reduce(np.abs(cur.c)) < tol_constraint
                  and cur.grad_norm(lam) < tol_grad)
     missed_before = 0.0
     for step in range(1, max_outer + 1):
@@ -361,9 +399,9 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
                     f"{missed:.3e}")
         else:
             dw, lam_new = system.newton_step(cur, basis)
-            nu = max(nu, 2.0 * float(np.abs(lam_new).max()))
+            nu = max(nu, 2.0 * float(np.maximum.reduce(np.abs(lam_new))))
             merit0 = cur.merit(nu)
-            ratio = float(np.abs(dw / cur.w).max())
+            ratio = float(np.maximum.reduce(np.abs(dw / cur.w), axis=None))
             a = 1.0 if ratio <= 2.0 else 2.0 / ratio
             while stop is None:
                 try:
@@ -381,7 +419,7 @@ def _maximize_from(cons: ConstraintSet, w: np.ndarray,
                 if a < _MIN_STEP:
                     stop, a, gain = "line search failed: no step increases the merit", 0.0, 0.0
         missed_before = missed
-        maxc = float(np.abs(cur.c).max())
+        maxc = float(np.maximum.reduce(np.abs(cur.c)))
         gnorm = cur.grad_norm(lam)
         history.append({
             "step": step, "max_residual": maxc, "grad_norm": gnorm,
@@ -430,7 +468,7 @@ def _constraint_basis(cur: _Iterate):
     """An orthonormal basis (k x r) of the constraint combinations whose
     tangent gradients are independent, and how far the residual c is from
     their span: the part of c that no step can change to first order."""
-    pj = _tangent(cur.grads).reshape(len(cur.c), -1)
+    pj = cur.tangent_grads.reshape(len(cur.c), -1)
     u, sv, _ = np.linalg.svd(pj, full_matrices=False)
     keep = sv > _RANK_RTOL * sv[0]
     null = u[:, ~keep]

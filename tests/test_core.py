@@ -16,6 +16,7 @@ import pickle
 import time
 import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,6 +441,109 @@ def test_rebalance_stall_raises_convergence_error(monkeypatch):
                               "iterations (last deviation 1.000e-01)")
     assert err.value.residual == pytest.approx(0.1)
     assert err.value.alpha is None
+
+
+@pytest.mark.parametrize("w", [
+    # once came back "balanced", with a cell of -1.99e-4
+    [[2.0, 1.0, -0.001], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]],
+    # once ran all 100,000 sweeps and then reported a stall
+    [[1.0, -1e-9], [1e-3, 1.0]],
+    # once reported as a zero row
+    [[1.0, -0.01], [0.01, 1.0]],
+], ids=["balanced-with-a-negative-cell", "stall", "zero-row"])
+def test_rebalance_refuses_negative_mass(w):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^cannot rebalance: negative mass$"):
+        rebalance_marginals(w)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_rebalance_takes_negative_zero_and_checks_finiteness_first():
+    # -0.0 is not negative mass, and keeps its sign through the sweeps
+    out = rebalance_marginals([[1.0, -0.0], [-0.0, 3.0]])
+    assert np.array_equal(out, [[0.5, 0.0], [0.0, 0.5]])
+    assert np.signbit(out).tolist() == [[False, True], [True, False]]
+    with pytest.raises(ValueError, match="non-finite"):
+        rebalance_marginals([[1.0, -1.0], [np.nan, 1.0]])
+
+
+def _reference_rebalance(w):
+    """``rebalance_marginals`` as it was before each sweep checked the rows
+    first: the loop word for word, the reference of its stopping rule."""
+    _REBALANCE_TOL, _REBALANCE_MAX_ITER = core._REBALANCE_TOL, core._REBALANCE_MAX_ITER
+    w = np.array(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise ValueError(f"cannot rebalance: shape {w.shape} is not a nonempty square")
+    m = w.shape[0]
+    target = 1.0 / m
+    rows = w.sum(axis=1)
+    # a NaN or +-inf entry makes its row sum non-finite (inf - inf is NaN)
+    if not np.isfinite(rows).all():
+        raise ValueError("cannot rebalance: non-finite mass")
+    for sweep in range(_REBALANCE_MAX_ITER + 1):
+        dev = max(abs(rows - target).max(), abs(w.sum(axis=0) - target).max())
+        if dev <= _REBALANCE_TOL and abs(w.sum() - 1.0) <= _REBALANCE_TOL:
+            return w
+        if sweep == _REBALANCE_MAX_ITER:
+            raise ConvergenceError(f"marginal rebalancing did not reach {_REBALANCE_TOL:.1e} "
+                                   f"in {_REBALANCE_MAX_ITER} iterations (last deviation "
+                                   f"{dev:.3e})", float(dev))
+        # fmin skips NaN, so each guard is true exactly when np.any(sums <= 0)
+        # is; min would return NaN and miss a zero sum next to a NaN one
+        if np.fmin.reduce(rows) <= 0:
+            raise ValueError("cannot rebalance: zero row mass")
+        w *= (target / rows)[:, None]
+        cols = w.sum(axis=0)
+        if np.fmin.reduce(cols) <= 0:
+            raise ValueError("cannot rebalance: zero column mass")
+        w *= (target / cols)[None, :]
+        rows = w.sum(axis=1)
+
+
+def _run(project, w):
+    """The bytes of the projection's output, or its error's type, message
+    and residual."""
+    try:
+        return project(w).tobytes()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "residual", None))
+
+
+def _sinkhorn_input(m, kind, low, seed):
+    """An m x m nonnegative grid: cells log-uniform in [10^low, 1], the same
+    with a fifth of them zero (some -0.0), with one empty column or with
+    its rows already at 1/m and its columns not, or an already balanced
+    grid: a scaled permutation, the reference's own output, or that output
+    with every marginal 5e-14 off and the total m times that."""
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(low, 0.0, size=(m, m))
+    if kind == "zeros":
+        w[rng.random((m, m)) < 0.2] = rng.choice([0.0, -0.0])
+    elif kind == "column":
+        w[:, rng.integers(m)] = 0.0
+    elif kind == "rows":
+        w /= m * w.sum(axis=1, keepdims=True)
+    elif kind == "permutation":
+        w = np.eye(m)[rng.permutation(m)] / m
+    elif kind in ("balanced", "total"):
+        w = _reference_rebalance(rng.uniform(0.5, 1.0, size=(m, m)) * 10.0 ** low)
+        if kind == "total":
+            w *= 1.0 + 5e-14 * m
+    return w
+
+
+@pytest.mark.parametrize("max_iter", [core._REBALANCE_MAX_ITER, 2])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.sampled_from(["cells", "zeros", "column", "rows", "permutation",
+                                           "balanced", "total"]),
+       st.floats(-30.0, 0.0), st.integers(0, 2**32 - 1))
+def test_rebalance_stops_where_the_reference_loop_stops(max_iter, m, kind, low, seed):
+    # the rows are checked first and the columns and the total only once
+    # they pass; the reference checks all three every sweep.  Same bits, or
+    # the same error, message and residual, also when two sweeps stall
+    w = _sinkhorn_input(m, kind, low, seed)
+    with mock.patch.object(core, "_REBALANCE_MAX_ITER", max_iter):
+        assert _run(rebalance_marginals, w) == _run(_reference_rebalance, w)
 
 
 def test_segment_permuton_marginals():
